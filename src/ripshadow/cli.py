@@ -8,10 +8,10 @@ interrupted run never leaves a half-written file, and identical settings with
 the same seed reproduce artifacts byte for byte.
 
 Exit codes: 0 on success, 2 when a report concludes out-of-regime (failed
-hypotheses are a finding, not a crash), 1 on runtime errors, 64 on usage
-errors.  The environment variable RSL_THREADS caps parallelism; it is
-validated here, and since every pipeline in this package runs sequentially,
-any positive cap is honored by construction.
+hypotheses are a finding, not a crash), 1 on runtime errors and malformed
+input files, 64 on usage errors.  The environment variable RSL_THREADS caps
+parallelism; it is validated here, and since every pipeline in this package
+runs sequentially, any positive cap is honored by construction.
 """
 
 from __future__ import annotations
@@ -123,6 +123,23 @@ def _curve_csv(points) -> str:
     for row in points:
         lines.append(",".join(repr(float(v)) for v in row))
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# input files
+
+
+def _load_input(loader, path: str):
+    """Read an input file with ``loader``; malformed contents exit 1."""
+    try:
+        return loader(path)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise RuntimeError(f"malformed input file {path}: {exc}") from exc
+
+
+def _read_json(path: str):
+    with open(path) as fh:
+        return json.load(fh)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +269,7 @@ def _metric_from_flags(args, config: dict, cloud: PointCloud):
 
 
 def _run_rips(args, config: dict) -> int:
-    cloud = PointCloud.from_csv(_require(args, config, "points"))
+    cloud = _load_input(PointCloud.from_csv, _require(args, config, "points"))
     beta = _require_float(args, config, "beta")
     cap = int(_cfg(args, config, "cap", 2))
     complex_ = build_rips(_metric_from_flags(args, config, cloud), beta, cap=cap)
@@ -263,7 +280,7 @@ def _run_rips(args, config: dict) -> int:
 
 
 def _run_shadow(args, config: dict) -> int:
-    cloud = PointCloud.from_csv(_require(args, config, "points"))
+    cloud = _load_input(PointCloud.from_csv, _require(args, config, "points"))
     beta = _require_float(args, config, "beta")
     cap = int(_cfg(args, config, "cap", 2))
     cells = maximal_cliques(euclidean_metric(cloud), beta)
@@ -278,7 +295,7 @@ def _run_shadow(args, config: dict) -> int:
 
 
 def _run_homology(args, config: dict) -> int:
-    complex_ = SimplicialComplex.load(_require(args, config, "complex"))
+    complex_ = _load_input(SimplicialComplex.load, _require(args, config, "complex"))
     up_to = int(_cfg(args, config, "up_to", max(0, complex_.cap - 1)))
     payload = {"betti": [int(r) for r in betti(complex_, up_to)], "up_to": up_to}
     out = _cfg(args, config, "out")
@@ -388,7 +405,7 @@ def _run_reconstruct(args, config: dict) -> int:
         _write_json(out, result.to_json_dict())
     curve_csv = _cfg(args, config, "curve_csv")
     if curve_csv is not None and result.curve is not None:
-        _write_text(curve_csv, _curve_csv(result.curve.points))
+        _write_text(curve_csv, _points_csv(result.curve.points))
     print(f"reconstruction: verdict {result.verdict}")
     for name in sorted(result.checks):
         print(f"  {name}: {result.checks[name]}")
@@ -405,7 +422,7 @@ def _run_oracle(args, config: dict) -> int:
     """Slow independent cross-checks; disagreement exits 1."""
     what = str(_require(args, config, "check"))
     if what == "rips":
-        cloud = PointCloud.from_csv(_require(args, config, "points"))
+        cloud = _load_input(PointCloud.from_csv, _require(args, config, "points"))
         beta = _require_float(args, config, "beta")
         cap = int(_cfg(args, config, "cap", 2))
         met = _metric_from_flags(args, config, cloud)
@@ -417,7 +434,7 @@ def _run_oracle(args, config: dict) -> int:
         print(f"rips oracle agrees: counts {fast.counts()}")
         return EXIT_OK
     if what == "homology":
-        complex_ = SimplicialComplex.load(_require(args, config, "complex"))
+        complex_ = _load_input(SimplicialComplex.load, _require(args, config, "complex"))
         m = int(_cfg(args, config, "dim", 1))
         fast = homology_basis(complex_, m).rank(m)
         slow = brute_homology(complex_, m)
@@ -431,7 +448,7 @@ def _run_oracle(args, config: dict) -> int:
         print(f"homology oracle agrees: rank {fast} in dimension {m}")
         return EXIT_OK
     if what == "raster":
-        cloud = PointCloud.from_csv(_require(args, config, "points"))
+        cloud = _load_input(PointCloud.from_csv, _require(args, config, "points"))
         beta = _require_float(args, config, "beta")
         cells = maximal_cliques(euclidean_metric(cloud), beta)
         system = ConvexCellSystem(cloud, cells)
@@ -457,9 +474,7 @@ def _field(obj: dict, name: str):
 
 
 def _run_plot_data(args, config: dict) -> int:
-    path = _require(args, config, "report")
-    with open(path) as fh:
-        obj = json.load(fh)
+    obj = _load_input(_read_json, _require(args, config, "report"))
     out_dir = str(_cfg(args, config, "out_dir", "."))
     os.makedirs(out_dir, exist_ok=True)
     written = []

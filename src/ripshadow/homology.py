@@ -1,9 +1,19 @@
 """Mod-2 simplicial homology: Betti numbers, induced maps, towers.
 
 Chains are bit masks (Python ints) over the lexicographically ordered
-simplex basis of each dimension.  Reduction is column echelon with the
-highest set bit as pivot, processed in basis order, so every rank, cycle
-representative, and induced matrix is deterministic for a given complex.
+simplex basis of each dimension.  Ranks come from the persistence pairs of
+that order.  Union-find pairs vertices with the edges of a spanning forest;
+each higher dimension m reduces the coboundary columns of the (m-1)-simplices
+from last to first, with the lowest coface as pivot, and clears (skips) the
+columns of simplices already paired one dimension down (Chen & Kerber, 2011;
+de Silva, Morozov & Vejdemo-Johansson, 2011).  By duality these pairs are the
+pivots of column echelon on the boundary matrices with the highest set bit as
+pivot, processed in basis order.  So ``betti`` only counts pairs, and
+``homology_basis`` reduces only the boundary columns that survive, plus one
+cycle per unpaired (essential) simplex.
+
+Every rank, cycle representative, and induced matrix is deterministic for a
+given complex.  Reports carry only ranks, which do not depend on the basis.
 """
 from __future__ import annotations
 
@@ -26,6 +36,36 @@ class CarrierVerificationError(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # bit-column linear algebra
+
+
+def _mask(indices) -> int:
+    return sum(1 << i for i in indices)
+
+
+def _reduce(vec: int, piv: dict[int, int], used: list[int] | None = None) -> int:
+    """Residue of vec against an echelon keyed by highest set bit.
+
+    The pivots added on the way are appended to ``used`` when it is given.
+    """
+    while vec:
+        p = vec.bit_length() - 1
+        other = piv.get(p)
+        if other is None:
+            break
+        vec ^= other
+        if used is not None:
+            used.append(p)
+    return vec
+
+
+def _echelon_basis(vectors: list[int]) -> dict[int, int]:
+    """Reduce vectors into a pivot->vector echelon dictionary."""
+    piv: dict[int, int] = {}
+    for v in vectors:
+        residue = _reduce(v, piv)
+        if residue:
+            piv[residue.bit_length() - 1] = residue
+    return piv
 
 
 class Gf2Matrix:
@@ -65,22 +105,7 @@ class Gf2Matrix:
         return Gf2Matrix(self.rows, out)
 
     def rank(self) -> int:
-        piv: dict[int, int] = {}
-        for c in self.cols:
-            cur = c
-            while cur:
-                p = cur.bit_length() - 1
-                if p in piv:
-                    cur ^= piv[p]
-                else:
-                    piv[p] = cur
-                    break
-        return len(piv)
-
-    def to_lists(self) -> list[list[int]]:
-        return [
-            [(c >> r) & 1 for c in self.cols] for r in range(self.rows)
-        ]
+        return len(_echelon_basis(self.cols))
 
     def __eq__(self, other) -> bool:
         return (
@@ -90,54 +115,8 @@ class Gf2Matrix:
         )
 
 
-def _echelon_basis(vectors: list[int]) -> dict[int, int]:
-    """Reduce vectors into a pivot->vector echelon dictionary."""
-    piv: dict[int, int] = {}
-    for v in vectors:
-        cur = v
-        while cur:
-            p = cur.bit_length() - 1
-            if p in piv:
-                cur ^= piv[p]
-            else:
-                piv[p] = cur
-                break
-    return piv
-
-
-def _reduce_against(vec: int, piv: dict[int, int]) -> int:
-    cur = vec
-    while cur:
-        p = cur.bit_length() - 1
-        if p not in piv:
-            return cur
-        cur ^= piv[p]
-    return 0
-
-
-def _kernel_basis(cols: list[int]) -> list[int]:
-    """Combinations of columns that vanish, as bit masks over column indices."""
-    piv: dict[int, tuple[int, int]] = {}
-    kernel = []
-    for j, c in enumerate(cols):
-        cur = c
-        combo = 1 << j
-        while cur:
-            p = cur.bit_length() - 1
-            if p in piv:
-                pc, pcombo = piv[p]
-                cur ^= pc
-                combo ^= pcombo
-            else:
-                piv[p] = (cur, combo)
-                break
-        if cur == 0:
-            kernel.append(combo)
-    return kernel
-
-
 # ---------------------------------------------------------------------------
-# chain complexes and homology bases
+# chain complexes and persistence pairs
 
 
 @dataclass
@@ -146,6 +125,9 @@ class ChainComplexZ2:
 
     complex: SimplicialComplex
     index: dict[int, dict[tuple[int, ...], int]] = field(init=False)
+    _faces: dict[int, list[tuple[int, ...]]] = field(
+        init=False, default_factory=dict, repr=False
+    )
 
     def __post_init__(self) -> None:
         self.index = {
@@ -156,32 +138,117 @@ class ChainComplexZ2:
     def basis(self, m: int) -> list[tuple[int, ...]]:
         return self.complex.simplices.get(m, [])
 
-    def boundary_columns(self, m: int) -> list[int]:
-        """Column j = boundary of the j-th m-simplex over the (m-1) basis."""
+    def boundary_columns(self, m: int) -> list[tuple[int, ...]]:
+        """Column j = indices of the faces of the j-th m-simplex in the (m-1) basis."""
         if m <= 0:
-            return [0] * len(self.basis(m))
-        lower = self.index.get(m - 1, {})
-        cols = []
-        for s in self.basis(m):
-            acc = 0
-            for face in combinations(s, m):
-                acc ^= 1 << lower[face]
-            cols.append(acc)
-        return cols
+            return [() for _ in self.basis(m)]
+        lookup = self.index.get(m - 1, {}).__getitem__
+        return [tuple(map(lookup, combinations(s, m))) for s in self.basis(m)]
 
-    def verify_boundary_squared(self, up_to: int) -> None:
-        for m in range(2, up_to + 2):
-            cols_m = self.boundary_columns(m)
-            lower = self.boundary_columns(m - 1)
-            for c in cols_m:
-                acc = 0
-                rem = c
-                while rem:
-                    low = rem & -rem
-                    acc ^= lower[low.bit_length() - 1]
-                    rem ^= low
-                if acc != 0:
-                    raise InternalConsistencyError("boundary of boundary is nonzero")
+    def faces(self, m: int) -> list[tuple[int, ...]]:
+        """``boundary_columns(m)``, built once per dimension."""
+        got = self._faces.get(m)
+        if got is None:
+            got = self._faces[m] = self.boundary_columns(m)
+        return got
+
+
+def _forest_pairs(chain: ChainComplexZ2) -> dict[int, int]:
+    """Edges of the spanning forest, each mapped to the vertex it kills.
+
+    Edges are taken in order; each component keeps its smallest vertex as
+    root, so an edge joining two components kills the larger root.
+    """
+    parent = list(range(len(chain.basis(0))))
+    pairs = {}
+    for j, (a, b) in enumerate(chain.faces(1)):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            if a > b:
+                a, b = b, a
+            parent[b] = a
+            pairs[j] = b
+    return pairs
+
+
+def _coboundary_pairs(
+    faces: list[tuple[int, ...]], n_lower: int, cleared: dict[int, int]
+) -> dict[int, int]:
+    """Pairs from the reduced coboundary columns of the lower simplices.
+
+    Columns are coface index lists, processed from the last lower simplex
+    to the first, with the lowest coface as pivot.  A column turns into a
+    bit mask only when its pivot is taken and it has to be reduced.
+    """
+    cofaces: list[list[int]] = [[] for _ in range(n_lower)]
+    for j, fs in enumerate(faces):
+        for f in fs:
+            cofaces[f].append(j)
+    reduced: dict[int, list[int] | int] = {}
+    pairs = {}
+    for tau in range(n_lower - 1, -1, -1):
+        col = cofaces[tau]
+        if not col or tau in cleared:
+            continue
+        low = col[0]
+        if low in reduced:
+            cur = _mask(col)
+            while cur:
+                low = (cur & -cur).bit_length() - 1
+                other = reduced.get(low)
+                if other is None:
+                    break
+                if not isinstance(other, int):
+                    other = reduced[low] = _mask(other)
+                cur ^= other
+            if not cur:
+                continue
+            col = cur
+        reduced[low] = col
+        pairs[low] = tau
+    return pairs
+
+
+def persistence_pairs(chain: ChainComplexZ2, up_to: int) -> dict[int, dict[int, int]]:
+    """Persistence pairs of the lexicographic order, dimensions 1..up_to+1.
+
+    ``pairs[m]`` maps each negative m-simplex (one whose boundary column
+    survives reduction) to the (m-1)-simplex it kills, the pivot of that
+    column.  Dimension m clears the columns of the keys of ``pairs[m-1]``.
+    """
+    pairs = {1: _forest_pairs(chain)}
+    for m in range(2, up_to + 2):
+        pairs[m] = _coboundary_pairs(
+            chain.faces(m), len(chain.basis(m - 1)), pairs[m - 1]
+        )
+    return pairs
+
+
+def _check_certified(complex_: SimplicialComplex, up_to: int, what: str) -> None:
+    if up_to > complex_.cap - 1:
+        raise ValueError(
+            f"{what} above dimension {complex_.cap - 1} is not certified at "
+            f"cap {complex_.cap}; rebuild with a larger cap"
+        )
+
+
+def betti(complex_: SimplicialComplex, up_to: int) -> list[int]:
+    """Betti numbers b_0..b_up_to: simplices minus the negative ones in
+    dimensions m and m+1."""
+    _check_certified(complex_, up_to, "betti")
+    chain = ChainComplexZ2(complex_)
+    pairs = persistence_pairs(chain, up_to)
+    return [
+        len(chain.basis(m)) - len(pairs.get(m, ())) - len(pairs[m + 1])
+        for m in range(up_to + 1)
+    ]
+
+
+# ---------------------------------------------------------------------------
+# homology bases
 
 
 @dataclass
@@ -198,65 +265,69 @@ class HomologyBasis:
         return self.ranks[m] if 0 <= m <= self.up_to else 0
 
 
-def _homology_data(chain: ChainComplexZ2, m: int):
-    """Cycle reps and boundary echelon for one dimension."""
-    n_m = len(chain.basis(m))
-    if m == 0:
-        cycles = [1 << i for i in range(n_m)]
-    else:
-        cycles = _kernel_basis(chain.boundary_columns(m))
-    cap = chain.complex.cap
-    if m + 1 <= cap:
-        bnd = _echelon_basis([c for c in chain.boundary_columns(m + 1) if c])
-    else:
-        bnd = {}
-    reps = []
-    piv = dict(bnd)
-    for z in cycles:
-        residue = _reduce_against(z, piv)
-        if residue:
-            piv[residue.bit_length() - 1] = residue
-            reps.append(residue)
-    return reps, bnd
+@dataclass
+class _BoundaryEchelon:
+    """Reduced boundary columns of the negative simplices of one dimension."""
+
+    pivots: dict[int, int]  # pivot -> reduced column
+    owner: dict[int, int]  # pivot -> simplex whose column it is
+    added: dict[int, list[int]]  # simplex -> simplices added to its column
+
+    @classmethod
+    def build(
+        cls, faces: list[tuple[int, ...]], negative: dict[int, int]
+    ) -> "_BoundaryEchelon":
+        ech = cls({}, {}, {})
+        for j in sorted(negative):
+            used: list[int] = []
+            col = _reduce(_mask(faces[j]), ech.pivots, used)
+            p = negative[j]
+            if col.bit_length() - 1 != p:
+                raise InternalConsistencyError(
+                    f"boundary column {j} does not reduce to the pivot {p} "
+                    "its coboundary pair names"
+                )
+            ech.pivots[p] = col
+            ech.owner[p] = j
+            ech.added[j] = [ech.owner[q] for q in used]
+        return ech
+
+    def cycle(self, j: int, faces: list[tuple[int, ...]]) -> int:
+        """Simplex j plus the negative simplices whose boundaries sum to its own."""
+        used: list[int] = []
+        if _reduce(_mask(faces[j]), self.pivots, used):
+            raise InternalConsistencyError(f"essential simplex {j} is not a cycle")
+        chain = 1 << j
+        pending = _mask(self.owner[q] for q in used)
+        while pending:
+            # a column only ever adds earlier columns, so the highest
+            # pending simplex is final when it is reached
+            k = pending.bit_length() - 1
+            chain ^= 1 << k
+            pending ^= 1 << k
+            for a in self.added[k]:
+                pending ^= 1 << a
+        return chain
 
 
 def homology_basis(complex_: SimplicialComplex, up_to: int) -> HomologyBasis:
-    if up_to > complex_.cap - 1:
-        raise ValueError(
-            f"homology above dimension {complex_.cap - 1} is not certified at "
-            f"cap {complex_.cap}; rebuild with a larger cap"
-        )
+    _check_certified(complex_, up_to, "homology")
     chain = ChainComplexZ2(complex_)
+    pairs = persistence_pairs(chain, up_to)
     ranks, reps, bnds = [], {}, {}
+    below: _BoundaryEchelon | None = None  # echelon of the boundary into m-1
     for m in range(up_to + 1):
-        r, b = _homology_data(chain, m)
-        ranks.append(len(r))
-        reps[m] = r
-        bnds[m] = b
-    return HomologyBasis(complex_, up_to, ranks, reps, bnds)
-
-
-def betti(complex_: SimplicialComplex, up_to: int) -> list[int]:
-    """Betti numbers b_0..b_up_to via rank-nullity over the strict bases."""
-    if up_to > complex_.cap - 1:
-        raise ValueError(
-            f"betti above dimension {complex_.cap - 1} is not certified at "
-            f"cap {complex_.cap}; rebuild with a larger cap"
-        )
-    chain = ChainComplexZ2(complex_)
-    out = []
-    prev_rank = 0  # rank of the boundary map into dimension m-1
-    for m in range(up_to + 1):
-        n_m = len(chain.basis(m))
-        if m + 1 <= complex_.cap:
-            rank_next = len(
-                _echelon_basis([c for c in chain.boundary_columns(m + 1) if c])
-            )
+        above = _BoundaryEchelon.build(chain.faces(m + 1), pairs[m + 1])
+        paired = pairs.get(m, {}).keys() | set(pairs[m + 1].values())
+        essential = [j for j in range(len(chain.basis(m))) if j not in paired]
+        if m == 0:
+            reps[m] = [1 << j for j in essential]
         else:
-            rank_next = 0
-        out.append(n_m - prev_rank - rank_next)
-        prev_rank = rank_next
-    return out
+            reps[m] = [below.cycle(j, chain.faces(m)) for j in essential]
+        ranks.append(len(essential))
+        bnds[m] = above.pivots
+        below = above
+    return HomologyBasis(complex_, up_to, ranks, reps, bnds)
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,22 @@ def test_increasing_scale_grid_is_a_usage_error(tmp_path):
     assert code == 64
 
 
+def test_malformed_input_files_exit_one(tmp_path, capsys):
+    pts = tmp_path / "bad.csv"
+    pts.write_text("# x0,x1\n0.1,abc\n")
+    out = tmp_path / "out.json"
+    assert main(["rips", "--points", str(pts), "--beta", "0.2", "--out", str(out)]) == 1
+    cx = tmp_path / "cx.json"
+    # the edge (0, 2) is missing from the triangle's faces
+    cx.write_text(json.dumps({"n": 3, "cap": 2, "simplices": [[0], [1], [2], [0, 1], [1, 2], [0, 1, 2]]}))
+    assert main(["homology", "--complex", str(cx)]) == 1
+    report = tmp_path / "report.json"
+    report.write_text("{not json")
+    assert main(["plot-data", "--report", str(report), "--out-dir", str(tmp_path)]) == 1
+    assert "malformed input file" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_subcommand_and_unknown_flag_are_usage_errors():
     assert main([]) == 64
     assert main(["tower", "--frobnicate"]) == 64
@@ -71,7 +87,11 @@ def test_reconstruct_example_and_gated_variant(tmp_path):
     assert main(base + ["--beta", "0.2"]) == 0
     result = json.loads(out.read_text())
     assert result["verdict"] == "ok"
-    assert curve.read_text().startswith("x0,x1\n")
+    assert curve.read_text().startswith("# x0,x1\n")
+    # the curve file reads back as a points file
+    readback = tmp_path / "curve-rips.json"
+    assert main(["rips", "--points", str(curve), "--beta", "0.2", "--out", str(readback)]) == 0
+    assert PointCloud.from_csv(str(curve)).n == 126
     # crowding the scale with noise flips the exit code
     assert main(base + ["--beta", "0.1"]) == 2
 

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ripshadow.homology import (
+    ChainComplexZ2,
     Gf2Matrix,
     HomologyTower,
     barycentric_subdivision,
@@ -16,8 +19,10 @@ from ripshadow.homology import (
     homology_basis,
     induced_from_chain_columns,
     induced_map,
+    persistence_pairs,
     subdivision_chain_columns,
     tower_ranks,
+    _echelon_basis,
 )
 from ripshadow.models import Circle, PointCloud, SamplerSpec, euclidean_metric, sample
 from ripshadow.oracle import brute_homology
@@ -90,6 +95,48 @@ def test_ranks_match_dense_oracle_on_random_complexes():
         complex_ = build_rips(euclidean_metric(cloud), float(rng.uniform(0.2, 0.9)), cap=3)
         for m in range(3):
             assert homology_basis(complex_, m).rank(m) == brute_homology(complex_, m)
+
+
+_PLANAR_POINTS = st.lists(
+    st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=1, max_size=12
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_PLANAR_POINTS, st.floats(0.05, 1.2), st.sampled_from([2, 3]))
+def test_both_routes_match_dense_oracle_on_random_planar_clouds(points, beta, cap):
+    cloud = PointCloud(np.array(points, dtype=float))
+    complex_ = build_rips(euclidean_metric(cloud), beta, cap=cap)
+    want = [brute_homology(complex_, m) for m in range(cap)]
+    assert betti(complex_, cap - 1) == want
+    assert homology_basis(complex_, cap - 1).ranks == want
+
+
+def _column_echelon_pairs(masks: list[int]) -> dict[int, int]:
+    """Nonzero columns of a left-to-right echelon, mapped to their pivots."""
+    piv: dict[int, int] = {}
+    pairs = {}
+    for j, col in enumerate(masks):
+        while col and col.bit_length() - 1 in piv:
+            col ^= piv[col.bit_length() - 1]
+        if col:
+            piv[col.bit_length() - 1] = col
+            pairs[j] = col.bit_length() - 1
+    return pairs
+
+
+def test_coboundary_pairs_equal_boundary_pivots():
+    cloud = sample(SamplerSpec(Circle(), 400, tau=0.01, seed=7))
+    complex_ = build_rips(euclidean_metric(cloud), 0.3, cap=2)
+    chain = ChainComplexZ2(complex_)
+    pairs = persistence_pairs(chain, 1)
+    for m in (1, 2):
+        masks = [sum(1 << f for f in faces) for faces in chain.boundary_columns(m)]
+        assert pairs[m] == _column_echelon_pairs(masks)
+        assert set(pairs[m].values()) == set(_echelon_basis(masks))
+    # union-find leaves one column to clear per non-root vertex
+    assert len(pairs[1]) == complex_.n - 1
+    assert betti(complex_, 1) == [1, 1]
 
 
 # ---------------------------------------------------------------------------
