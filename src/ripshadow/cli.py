@@ -9,9 +9,7 @@ the same seed reproduce artifacts byte for byte.
 
 Exit codes: 0 on success, 2 when a report concludes out-of-regime (failed
 hypotheses are a finding, not a crash), 1 on runtime errors and malformed
-input files, 64 on usage errors.  The environment variable RSL_THREADS caps
-parallelism; it is validated here, and since every pipeline in this package
-runs sequentially, any positive cap is honored by construction.
+input files, 64 on usage errors.
 """
 
 from __future__ import annotations
@@ -64,7 +62,7 @@ EXIT_USAGE = 64
 
 
 class UsageError(Exception):
-    """Bad flags, bad config, bad environment; maps to exit code 64."""
+    """Bad flags or bad config; maps to exit code 64."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,20 +70,6 @@ class _Parser(argparse.ArgumentParser):
     # instead so the exit-code contract stays in one place
     def error(self, message):
         raise UsageError(message)
-
-
-def thread_cap() -> int:
-    """Validated value of RSL_THREADS, defaulting to the machine size."""
-    raw = os.environ.get("RSL_THREADS")
-    if raw is None or raw == "":
-        return max(1, os.cpu_count() or 1)
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise UsageError(f"RSL_THREADS must be a positive integer, not {raw!r}")
-    return cap
 
 
 # ---------------------------------------------------------------------------
@@ -673,7 +657,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if not hasattr(args, "runner"):
             raise UsageError("a subcommand is required (see --help)")
-        thread_cap()
         config = _load_config(getattr(args, "config", None))
         return args.runner(args, config)
     except UsageError as exc:

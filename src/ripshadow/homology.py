@@ -17,7 +17,6 @@ given complex.  Reports carry only ranks, which do not depend on the basis.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
 
@@ -124,16 +123,9 @@ class ChainComplexZ2:
     """Boundary maps of a complex over the per-dimension simplex bases."""
 
     complex: SimplicialComplex
-    index: dict[int, dict[tuple[int, ...], int]] = field(init=False)
     _faces: dict[int, list[tuple[int, ...]]] = field(
         init=False, default_factory=dict, repr=False
     )
-
-    def __post_init__(self) -> None:
-        self.index = {
-            d: {s: i for i, s in enumerate(group)}
-            for d, group in self.complex.simplices.items()
-        }
 
     def basis(self, m: int) -> list[tuple[int, ...]]:
         return self.complex.simplices.get(m, [])
@@ -142,7 +134,7 @@ class ChainComplexZ2:
         """Column j = indices of the faces of the j-th m-simplex in the (m-1) basis."""
         if m <= 0:
             return [() for _ in self.basis(m)]
-        lookup = self.index.get(m - 1, {}).__getitem__
+        lookup = {s: i for i, s in enumerate(self.basis(m - 1))}.__getitem__
         return [tuple(map(lookup, combinations(s, m))) for s in self.basis(m)]
 
     def faces(self, m: int) -> list[tuple[int, ...]]:
@@ -346,19 +338,25 @@ class InducedMap:
         return self.matrices[m].rank() if 0 <= m < len(self.matrices) else 0
 
 
-def _vertex_chain_columns(
-    f: SimplicialMap, chain_src: ChainComplexZ2, chain_dst: ChainComplexZ2, m: int
-) -> list[int]:
+def _vertex_chain_columns(f: SimplicialMap, m: int) -> list[int]:
     """Chain map columns of a simplicial map: degenerate images drop to zero."""
-    dst_index = chain_dst.index.get(m, {})
+    dst_index = {s: i for i, s in enumerate(f.target.simplices.get(m, []))}
     cols = []
-    for s in chain_src.basis(m):
+    for s in f.source.simplices.get(m, []):
         img = f.map_simplex(s)
         if len(img) != len(s):
             cols.append(0)
         else:
             cols.append(1 << dst_index[img])
     return cols
+
+
+def _sum_used(coeff: dict[int, int], used: list[int]) -> int:
+    """XOR of the representative sums recorded at the pivots in ``used``."""
+    out = 0
+    for p in used:
+        out ^= coeff.get(p, 0)
+    return out
 
 
 def induced_from_chain_columns(
@@ -369,49 +367,37 @@ def induced_from_chain_columns(
 ) -> list[Gf2Matrix]:
     """Express images of source cycle representatives in the target basis.
 
-    Each image is reduced modulo target boundaries against the target
-    representatives; a nonzero residue would mean the input was not a chain
-    map and raises InternalConsistencyError.
+    The target representatives are reduced into the target boundary
+    echelon, each new pivot recording the representatives it sums
+    (boundary pivots sum none).  An image's coordinates are the XOR of
+    those sums over the pivots its reduction uses; a nonzero residue would
+    mean the input was not a chain map and raises InternalConsistencyError.
     """
     mats = []
     for m in range(up_to + 1):
-        cols = chain_cols[m]
-        solver: dict[int, tuple[int, int]] = {}
-        for p, v in dst_basis.boundary_echelon[m].items():
-            solver[p] = (v, 0)
+        piv = dict(dst_basis.boundary_echelon[m])
+        coeff: dict[int, int] = {}
         for idx, rep in enumerate(dst_basis.representatives[m]):
-            cur, coeff = rep, 1 << idx
-            while cur:
-                p = cur.bit_length() - 1
-                if p in solver:
-                    pv, pc = solver[p]
-                    cur ^= pv
-                    coeff ^= pc
-                else:
-                    solver[p] = (cur, coeff)
-                    break
+            used: list[int] = []
+            cur = _reduce(rep, piv, used)
             if cur == 0:
                 raise InternalConsistencyError("dependent homology representatives")
+            p = cur.bit_length() - 1
+            piv[p] = cur
+            coeff[p] = (1 << idx) ^ _sum_used(coeff, used)
+        cols = chain_cols[m]
+        n_dst = len(dst_basis.complex.simplices.get(m, []))
+        images = Gf2Matrix(n_dst, cols).matmul(
+            Gf2Matrix(len(cols), src_basis.representatives[m])
+        )
         out_cols = []
-        for z in src_basis.representatives[m]:
-            acc = 0
-            rem = z
-            while rem:
-                low = rem & -rem
-                acc ^= cols[low.bit_length() - 1]
-                rem ^= low
-            coeff = 0
-            cur = acc
-            while cur:
-                p = cur.bit_length() - 1
-                if p not in solver:
-                    raise InternalConsistencyError(
-                        "image of a cycle is not a cycle modulo boundaries"
-                    )
-                pv, pc = solver[p]
-                cur ^= pv
-                coeff ^= pc
-            out_cols.append(coeff)
+        for img in images.cols:
+            used = []
+            if _reduce(img, piv, used):
+                raise InternalConsistencyError(
+                    "image of a cycle is not a cycle modulo boundaries"
+                )
+            out_cols.append(_sum_used(coeff, used))
         mats.append(Gf2Matrix(dst_basis.rank(m), out_cols))
     return mats
 
@@ -428,11 +414,7 @@ def induced_map_on_bases(
     if src.complex is not f.source or dst.complex is not f.target:
         raise ValueError("bases do not belong to the map's complexes")
     up_to = min(src.up_to, dst.up_to)
-    chain_src = ChainComplexZ2(f.source)
-    chain_dst = ChainComplexZ2(f.target)
-    cols = {
-        m: _vertex_chain_columns(f, chain_src, chain_dst, m) for m in range(up_to + 1)
-    }
+    cols = {m: _vertex_chain_columns(f, m) for m in range(up_to + 1)}
     mats = induced_from_chain_columns(cols, src, dst, up_to)
     return InducedMap(src, dst, mats)
 
@@ -508,19 +490,6 @@ def subdivision_chain_columns(
             cols.append(acc)
         cols_by_dim[m] = cols
     return cols_by_dim
-
-
-def subdivision_induced_map(
-    complex_: SimplicialComplex,
-    sd: SimplicialComplex,
-    carriers: list[tuple[int, ...]],
-    up_to: int,
-) -> InducedMap:
-    src = homology_basis(complex_, up_to)
-    dst = homology_basis(sd, up_to)
-    cols = subdivision_chain_columns(complex_, sd, carriers, up_to)
-    mats = induced_from_chain_columns(cols, src, dst, up_to)
-    return InducedMap(src, dst, mats)
 
 
 def carrier_map_to_nerve(
@@ -666,11 +635,6 @@ class TowerReport:
                 for m, p in self.plateaus.items()
             },
         }
-
-    def save(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
 
 
 def tower_ranks(tower: HomologyTower, min_plateau: int = 3) -> TowerReport:

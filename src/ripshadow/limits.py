@@ -49,8 +49,6 @@ from .models import (
 from .rips import SimplicialComplex, SimplicialMap, build_rips, inclusion_map, maximal_cliques
 from .shadow import ConvexCellSystem, build_nerve, nerve_coarsening_map
 
-import json
-
 CONSISTENT = "consistent"
 INCONSISTENT = "inconsistent"
 OUT_OF_REGIME = "out-of-regime"
@@ -294,11 +292,6 @@ class LimitReport:
             "annotations": list(self.annotations),
         }
 
-    def save(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
-
 
 def _failed_hypotheses(reports: list[ConditionReport]) -> list[str]:
     notes = []
@@ -316,6 +309,43 @@ def _model_betti(model: Model) -> list[int]:
 def _target_for_dim(model: Model, m: int) -> int:
     bs = _model_betti(model)
     return bs[m] if m < len(bs) else 0
+
+
+def _inclusion_tower(
+    complexes: list[SimplicialComplex], scales, dim: int
+) -> HomologyTower:
+    """Homology tower of stages joined by vertex-identity inclusions."""
+    maps = [
+        inclusion_map(a, b, src_scale=sa, dst_scale=sb)
+        for a, b, sa, sb in zip(complexes, complexes[1:], scales, scales[1:])
+    ]
+    return HomologyTower(complexes, maps, up_to=dim)
+
+
+def _record_tower(report: LimitReport, name: str, tower: HomologyTower) -> int | None:
+    """Store the tower's rank tables and its plateau rank in ``report.dim``."""
+    trep = tower_ranks(tower)
+    report.towers[name] = trep
+    plateau = trep.plateaus.get(report.dim)
+    report.stabilized[name] = None if plateau is None else int(plateau.rank)
+    return report.stabilized[name]
+
+
+def _judge_plateau(report: LimitReport, tower: HomologyTower, target_phrase: str) -> None:
+    """Verdict of a single tower: its plateau rank against ``report.target_rank``."""
+    rank = _record_tower(report, "tower", tower)
+    if rank is None:
+        report.verdict = INCONSISTENT
+        report.annotations.append(
+            f"no composite-rank plateau of length >= 3 within {len(tower)} stages"
+        )
+    elif rank == report.target_rank:
+        report.verdict = CONSISTENT
+    else:
+        report.verdict = INCONSISTENT
+        report.annotations.append(
+            f"plateau rank {rank} disagrees with {target_phrase} {report.target_rank}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -358,35 +388,9 @@ def run_direct_system(spec: DirectSystemSpec) -> LimitReport:
         cloud = PointCloud(pts[:n].copy())
         met = _metric_for(cloud, spec.metric, spec.eps, model)
         complexes.append(build_rips(met, spec.beta, cap=spec.dim + 1))
-    maps = [
-        inclusion_map(
-            complexes[i],
-            complexes[i + 1],
-            embedding=range(complexes[i].n),
-            src_scale=spec.beta,
-            dst_scale=spec.beta,
-        )
-        for i in range(len(complexes) - 1)
-    ]
-    tower = HomologyTower(complexes, maps, up_to=spec.dim)
-    trep = tower_ranks(tower)
-    report.towers["tower"] = trep
+    tower = _inclusion_tower(complexes, [spec.beta] * len(complexes), spec.dim)
     report.target_rank = int(tower.bases[-1].rank(spec.dim))
-    plateau = trep.plateaus.get(spec.dim)
-    report.stabilized["tower"] = None if plateau is None else int(plateau.rank)
-    if plateau is None:
-        report.verdict = INCONSISTENT
-        report.annotations.append(
-            f"no composite-rank plateau of length >= 3 within {len(tower)} stages"
-        )
-    elif plateau.rank == report.target_rank:
-        report.verdict = CONSISTENT
-    else:
-        report.verdict = INCONSISTENT
-        report.annotations.append(
-            f"plateau rank {plateau.rank} disagrees with the top-stage rank "
-            f"{report.target_rank}"
-        )
+    _judge_plateau(report, tower, "the top-stage rank")
     return report
 
 
@@ -483,16 +487,7 @@ def run_inverse_system(spec: InverseSystemSpec) -> LimitReport:
             for met, beta in zip(metrics, betas_fine_first)
         ]
         try:
-            maps = [
-                inclusion_map(
-                    complexes[i],
-                    complexes[i + 1],
-                    embedding=range(n),
-                    src_scale=betas_fine_first[i],
-                    dst_scale=betas_fine_first[i + 1],
-                )
-                for i in range(len(complexes) - 1)
-            ]
+            tower = _inclusion_tower(complexes, betas_fine_first, spec.dim)
         except ValueError as exc:
             report.annotations.append(f"stage inclusion failed: {exc}")
             return report
@@ -509,25 +504,9 @@ def run_inverse_system(spec: InverseSystemSpec) -> LimitReport:
             nerve_coarsening_map(systems[i], nerves[i], systems[i + 1], nerves[i + 1])
             for i in range(len(nerves) - 1)
         ]
+        tower = HomologyTower(complexes, maps, up_to=spec.dim)
 
-    tower = HomologyTower(complexes, maps, up_to=spec.dim)
-    trep = tower_ranks(tower)
-    report.towers["tower"] = trep
-    plateau = trep.plateaus.get(spec.dim)
-    report.stabilized["tower"] = None if plateau is None else int(plateau.rank)
-    if plateau is None:
-        report.verdict = INCONSISTENT
-        report.annotations.append(
-            f"no composite-rank plateau of length >= 3 within {len(tower)} stages"
-        )
-    elif plateau.rank == report.target_rank:
-        report.verdict = CONSISTENT
-    else:
-        report.verdict = INCONSISTENT
-        report.annotations.append(
-            f"plateau rank {plateau.rank} disagrees with the model's rank "
-            f"{report.target_rank}"
-        )
+    _judge_plateau(report, tower, "the model's rank")
     return report
 
 
@@ -627,25 +606,15 @@ def run_metric_comparability(
         np.max(met_p.d[off] / met_e.d[off], initial=1.0)
     )
 
-    cap = dim + 1
-    towers = {}
-    complexes_by_name = {}
-    for name, met in (("euclidean", met_e), ("epsilon-path", met_p)):
-        complexes = [build_rips(met, beta, cap=cap) for beta in betas_fine_first]
-        maps = [
-            inclusion_map(
-                complexes[i],
-                complexes[i + 1],
-                embedding=range(count),
-                src_scale=betas_fine_first[i],
-                dst_scale=betas_fine_first[i + 1],
-            )
-            for i in range(len(complexes) - 1)
-        ]
-        towers[name] = HomologyTower(complexes, maps, up_to=dim)
-        complexes_by_name[name] = complexes
-
-    for a, b in zip(complexes_by_name["euclidean"], complexes_by_name["epsilon-path"]):
+    towers = {
+        name: _inclusion_tower(
+            [build_rips(met, beta, cap=dim + 1) for beta in betas_fine_first],
+            betas_fine_first,
+            dim,
+        )
+        for name, met in (("euclidean", met_e), ("epsilon-path", met_p))
+    }
+    for a, b in zip(towers["euclidean"].complexes, towers["epsilon-path"].complexes):
         if a.simplices != b.simplices:
             raise InternalConsistencyError(
                 "strict complexes differ below the path cutoff; the pinned "
@@ -653,13 +622,7 @@ def run_metric_comparability(
             )
     report.numbers["stagewise_identical"] = True
 
-    ranks = {}
-    for name, tower in towers.items():
-        trep = tower_ranks(tower)
-        report.towers[name] = trep
-        plateau = trep.plateaus.get(dim)
-        report.stabilized[name] = None if plateau is None else int(plateau.rank)
-        ranks[name] = report.stabilized[name]
+    ranks = {name: _record_tower(report, name, tower) for name, tower in towers.items()}
     vals = list(ranks.values())
     if any(v is None for v in vals):
         report.verdict = INCONSISTENT

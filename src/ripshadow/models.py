@@ -23,7 +23,6 @@ the returned record.
 """
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -65,13 +64,6 @@ class PointCloud:
     def dim(self) -> int:
         return self.points.shape[1]
 
-    def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("# " + ",".join(f"x{i}" for i in range(self.dim)) + "\n")
-            writer = csv.writer(fh)
-            for row in self.points:
-                writer.writerow([repr(float(v)) for v in row])
-
     @classmethod
     def from_csv(cls, path: str) -> "PointCloud":
         rows = []
@@ -112,29 +104,6 @@ class MetricMatrix:
     @property
     def n(self) -> int:
         return self.d.shape[0]
-
-    def audit_triangle(self, max_triples: int = 20000, seed: int = 0):
-        """Spot-check the triangle inequality; returns an offending triple or None.
-
-        Only finite entries are audited; +inf rows may legitimately break
-        the inequality when components merge under a larger scale.
-        """
-        n = self.n
-        if n < 3:
-            return None
-        rng = np.random.default_rng(seed)
-        total = n * n * n
-        if total <= max_triples:
-            triples = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
-        else:
-            idx = rng.integers(0, n, size=(max_triples, 3))
-            triples = [tuple(map(int, row)) for row in idx]
-        tol = 1e-9
-        for i, j, k in triples:
-            a, b, c = self.d[i, j], self.d[i, k], self.d[k, j]
-            if np.isfinite(b) and np.isfinite(c) and a > b + c + tol:
-                return (i, j, k)
-        return None
 
 
 def euclidean_metric(cloud: PointCloud) -> MetricMatrix:

@@ -9,8 +9,6 @@ complex, and a certified Hausdorff distance to the model.
 """
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -67,13 +65,6 @@ class Polyline:
     def edge_lengths(self) -> np.ndarray:
         return np.array([float(np.linalg.norm(b - a)) for a, b in self.edges()])
 
-    def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"x{i}" for i in range(self.points.shape[1])])
-            for row in self.points:
-                writer.writerow([repr(float(v)) for v in row])
-
     def to_json_dict(self) -> dict:
         return {
             "closed": self.closed,
@@ -103,11 +94,6 @@ class ReconstructionResult:
             "verdict": self.verdict,
             "annotations": list(self.annotations),
         }
-
-    def save(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
 
 
 # ---------------------------------------------------------------------------

@@ -93,11 +93,6 @@ class SimplicialComplex:
             flat.extend([list(s) for s in self.simplices[d]])
         return {"n": self.n, "cap": self.cap, "simplices": flat}
 
-    def save(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
-
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SimplicialComplex":
         groups: dict[int, list[tuple[int, ...]]] = {}

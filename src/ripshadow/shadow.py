@@ -8,7 +8,6 @@ by exact rational feasibility; floating point only prunes candidates.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -55,11 +54,6 @@ class NerveComplex:
         out = self.complex.to_json_dict()
         out["cells"] = [list(c) for c in self.cells.cliques]
         return out
-
-    def save(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
 
 
 @dataclass(frozen=True)
@@ -319,7 +313,6 @@ def raster_betti_2d(
     system: ConvexCellSystem,
     resolution: int = 64,
     max_resolution: int = 4096,
-    debug_pgm: str | None = None,
 ) -> tuple[int, int]:
     """Grid oracle for the Betti numbers of the union of planar cells.
 
@@ -335,34 +328,9 @@ def raster_betti_2d(
     while res <= max_resolution:
         cur = _raster_once(system, res)
         if prev is not None and cur == prev:
-            if debug_pgm:
-                _dump_pgm(system, res, debug_pgm)
             return cur
         prev = cur
         res *= 2
     raise RasterInconclusiveError(
         f"raster Betti numbers failed to stabilize below resolution {max_resolution}"
     )
-
-
-def _dump_pgm(system: ConvexCellSystem, resolution: int, path: str) -> None:
-    pts = system.coords.points
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
-    extent = float(max(hi - lo)) or 1.0
-    h = extent / resolution
-    lo = lo - h
-    nx = int(math.ceil((hi[0] - lo[0]) / h)) + 2
-    ny = int(math.ceil((hi[1] - lo[1]) / h)) + 2
-    mask = np.zeros((ny, nx), dtype=bool)
-    xs = lo[0] + (np.arange(nx) + 0.5) * h
-    ys = lo[1] + (np.arange(ny) + 0.5) * h
-    pad = 0.71 * h
-    for i in range(len(system)):
-        cpts = system.cell_points(i)
-        gx, gy = np.meshgrid(xs, ys)
-        plist = np.stack([gx.ravel(), gy.ravel()], axis=1)
-        mask |= _near_hull(plist, _float_hull(cpts), pad).reshape(gy.shape)
-    with open(path, "wb") as fh:
-        fh.write(f"P5 {nx} {ny} 255\n".encode())
-        fh.write((np.where(mask[::-1], 0, 255).astype(np.uint8)).tobytes())

@@ -187,13 +187,6 @@ def test_model_json_file_is_accepted(tmp_path):
     assert np.allclose(radii, 2.0)
 
 
-def test_thread_cap_env_is_validated(tmp_path, monkeypatch):
-    monkeypatch.setenv("RSL_THREADS", "banana")
-    assert main(["sample", "--model", "circle", "--n", "4", "--out", str(tmp_path / "p.csv")]) == 64
-    monkeypatch.setenv("RSL_THREADS", "2")
-    assert main(["sample", "--model", "circle", "--n", "4", "--out", str(tmp_path / "p.csv")]) == 0
-
-
 def test_no_temp_files_survive_a_run(tmp_path):
     out = tmp_path / "run.json"
     assert main(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from ripshadow.homology import (
     ChainComplexZ2,
     Gf2Matrix,
     HomologyTower,
+    InternalConsistencyError,
     barycentric_subdivision,
     betti,
     carrier_map_to_nerve,
@@ -207,6 +210,20 @@ def test_subdivision_chain_map_is_an_isomorphism_on_homology():
     mats = induced_from_chain_columns(cols, src, dst, 1)
     for m in range(2):
         assert mats[m].rank() == src.rank(m) == dst.rank(m)
+
+
+def test_induced_from_chain_columns_rejects_a_non_chain_map():
+    basis = homology_basis(_cycle(5), 1)
+    identity = {0: [1 << i for i in range(5)], 1: [1 << j for j in range(5)]}
+    assert [m.rank() for m in induced_from_chain_columns(identity, basis, basis, 1)] == [1, 1]
+    # the loop goes to the single edge 0, which is not a cycle
+    to_one_edge = {0: identity[0], 1: [1, 0, 0, 0, 0]}
+    with pytest.raises(InternalConsistencyError, match="not a cycle"):
+        induced_from_chain_columns(to_one_edge, basis, basis, 1)
+    reps = basis.representatives
+    doubled = replace(basis, representatives={0: reps[0], 1: reps[1] * 2})
+    with pytest.raises(InternalConsistencyError, match="dependent"):
+        induced_from_chain_columns(identity, basis, doubled, 1)
 
 
 def test_carrier_map_reaches_the_nerve():

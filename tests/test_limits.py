@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from ripshadow.cli import _write_json
 from ripshadow.limits import (
     DirectSystemSpec,
     InverseSystemSpec,
@@ -178,8 +179,8 @@ def test_inverse_report_json_is_reproducible(tmp_path):
     spec = InverseSystemSpec(Circle(1.0), (0.5, 0.4, 0.3), seed=2)
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
-    run_inverse_system(spec).save(str(a))
-    run_inverse_system(spec).save(str(b))
+    _write_json(str(a), run_inverse_system(spec).to_json_dict())
+    _write_json(str(b), run_inverse_system(spec).to_json_dict())
     assert a.read_bytes() == b.read_bytes()
     obj = json.loads(a.read_text())
     assert obj["kind"] == "inverse-limit"

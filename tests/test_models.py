@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from ripshadow.cli import _points_csv, _write_text
 from ripshadow.models import (
     AmbiguousProjectionError,
     Circle,
@@ -44,7 +45,7 @@ def test_point_cloud_validates_shape_and_finiteness():
 def test_point_cloud_csv_round_trip(tmp_path):
     cloud = _circle_cloud(7)
     path = tmp_path / "pts.csv"
-    cloud.to_csv(str(path))
+    _write_text(str(path), _points_csv(cloud.points))
     back = PointCloud.from_csv(str(path))
     assert np.array_equal(back.points, cloud.points)
 

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from ripshadow.cli import _curve_csv, _write_json, _write_text
 from ripshadow.models import Circle, PointCloud, SamplerSpec, sample
 from ripshadow.reconstruct import (
     LemmaCheck,
@@ -70,7 +71,7 @@ def test_touching_non_adjacent_edges_are_not_simple():
 def test_polyline_csv_lists_vertices_in_order(tmp_path):
     square = Polyline(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
     path = tmp_path / "curve.csv"
-    square.to_csv(str(path))
+    _write_text(str(path), _curve_csv(square.points))
     rows = [r for r in path.read_text().splitlines() if r and not r.startswith("x0")]
     assert len(rows) == 4
     assert rows[0].split(",")[0] == "0.0"
@@ -174,8 +175,8 @@ def test_result_json_round_trip_is_deterministic(tmp_path):
     c = Circle(1.0)
     cloud = sample(SamplerSpec(c, 60, tau=0.01, seed=4))
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    build_curve_K(c, cloud, 0.25, 0.01, zeta=0.06).save(str(a))
-    build_curve_K(c, cloud, 0.25, 0.01, zeta=0.06).save(str(b))
+    _write_json(str(a), build_curve_K(c, cloud, 0.25, 0.01, zeta=0.06).to_json_dict())
+    _write_json(str(b), build_curve_K(c, cloud, 0.25, 0.01, zeta=0.06).to_json_dict())
     assert a.read_bytes() == b.read_bytes()
     obj = json.loads(a.read_text())
     assert set(obj) == {

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from ripshadow.cli import _write_json
 from ripshadow.models import PointCloud, euclidean_metric
 from ripshadow.oracle import brute_rips
 from ripshadow.rips import (
@@ -59,7 +60,7 @@ def test_complex_is_face_closed_and_json_stable(tmp_path):
     complex_ = build_rips(met, 1.5, cap=2)
     complex_.validate_face_closed()
     path = tmp_path / "cx.json"
-    complex_.save(str(path))
+    _write_json(str(path), complex_.to_json_dict())
     back = SimplicialComplex.load(str(path))
     assert back.simplices == complex_.simplices
     assert back.n == complex_.n and back.cap == complex_.cap
