@@ -504,16 +504,10 @@ def carrier_map_to_nerve(
     intersection test; failure would falsify the carrier argument, so it
     aborts rather than degrade.
     """
-    cell_sets = [set(c) for c in system.cells.cliques]
     assignment = []
     for s in carriers:
-        target = -1
-        ss = set(s)
-        for j, cs in enumerate(cell_sets):
-            if ss <= cs:
-                target = j
-                break
-        if target < 0:
+        target = system.first_cell_containing(s)
+        if target is None:
             raise CarrierVerificationError(
                 f"simplex {s} is not contained in any cell"
             )

@@ -93,6 +93,9 @@ def projection_parameters(model: Model, cloud: PointCloud) -> np.ndarray:
     return np.array([model.project(p).param for p in cloud.points], dtype=float)
 
 
+_DENSITY_BLOCK = 256
+
+
 def measured_density(model: Model, params: np.ndarray, grid_factor: int = 8) -> float:
     """Geodesic density of a parameter set, plus the grid's own half-step.
 
@@ -101,9 +104,15 @@ def measured_density(model: Model, params: np.ndarray, grid_factor: int = 8) -> 
     """
     params = np.asarray(params, dtype=float)
     grid_n = max(2048, grid_factor * len(params))
-    grid = np.arange(grid_n) * (model.length / grid_n)
-    d = np.asarray(model.geodesic_param_distance(grid[:, None], params[None, :]))
-    return float(d.min(axis=1).max()) + model.length / (2.0 * grid_n)
+    step = model.length / grid_n
+    # the distance is elementwise, so blocks of grid rows give the same
+    # maximum as one grid_n x n matrix without holding it in memory
+    worst = -math.inf
+    for start in range(0, grid_n, _DENSITY_BLOCK):
+        grid = np.arange(start, min(start + _DENSITY_BLOCK, grid_n)) * step
+        d = np.asarray(model.geodesic_param_distance(grid[:, None], params[None, :]))
+        worst = max(worst, float(d.min(axis=1).max()))
+    return worst + model.length / (2.0 * grid_n)
 
 
 def default_sample_count(model: Model, beta_min: float) -> int:

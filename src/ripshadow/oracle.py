@@ -91,6 +91,28 @@ def brute_homology(complex_: SimplicialComplex, m: int) -> int:
     return n_m - rank_in - rank_out
 
 
+def brute_nerve(system: ConvexCellSystem, cap: int = 2) -> SimplicialComplex:
+    """Every subset of up to cap+1 cells, decided by exact feasibility alone.
+
+    No shared-vertex shortcut and no bounding-box pruning, so the filters
+    of the production nerve are checked rather than reused.
+    """
+    k = len(system)
+    if k > 20:
+        raise OracleBudgetError(f"brute_nerve handles at most 20 cells, got {k}")
+    cells = [system.cell_points(i) for i in range(k)]
+    simplices: dict[int, list[tuple[int, ...]]] = {0: [(i,) for i in range(k)]}
+    for size in range(2, cap + 2):
+        group = [
+            s
+            for s in combinations(range(k), size)
+            if _exact.hulls_common_point([cells[i] for i in s])
+        ]
+        if group:
+            simplices[size - 1] = group
+    return SimplicialComplex(k, cap, simplices)
+
+
 def brute_hull_intersection(
     system: ConvexCellSystem, ids, resolution: int = 16
 ) -> bool:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 from scipy import ndimage
@@ -17,6 +19,9 @@ from scipy import ndimage
 from . import _exact
 from .models import PointCloud
 from .rips import CliqueList, SimplicialComplex, SimplicialMap
+
+
+_PAIR_BLOCK = 256
 
 
 class RasterInconclusiveError(RuntimeError):
@@ -41,6 +46,45 @@ class ConvexCellSystem:
 
     def __len__(self) -> int:
         return len(self.cells)
+
+    @cached_property
+    def boxes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-cell coordinate-wise minima and maxima, each of shape (k, dim).
+
+        Min and max are exact, so box tests on these prune without rounding.
+        """
+        cliques = self.cells.cliques
+        sizes = np.fromiter(map(len, cliques), dtype=np.intp, count=len(cliques))
+        flat = np.fromiter(chain.from_iterable(cliques), dtype=np.intp, count=int(sizes.sum()))
+        pts = self.coords.points[flat]
+        starts = np.cumsum(sizes) - sizes
+        return np.minimum.reduceat(pts, starts, axis=0), np.maximum.reduceat(pts, starts, axis=0)
+
+    @cached_property
+    def cell_sets(self) -> list[frozenset]:
+        return [frozenset(c) for c in self.cells.cliques]
+
+    @cached_property
+    def _cells_by_vertex(self) -> list[list[int]]:
+        by_vertex: list[list[int]] = [[] for _ in range(self.coords.n)]
+        for i, cell in enumerate(self.cells.cliques):
+            for v in cell:
+                by_vertex[v].append(i)
+        return by_vertex
+
+    def first_cell_containing(self, vertices: tuple[int, ...]) -> int | None:
+        """Lowest index of a cell holding every vertex of a nonempty simplex.
+
+        Any such cell holds the simplex's first vertex, so only the cells
+        through that vertex are scanned, in ascending order.
+        """
+        if not 0 <= vertices[0] < self.coords.n:
+            return None
+        want = set(vertices)
+        for j in self._cells_by_vertex[vertices[0]]:
+            if want <= self.cell_sets[j]:
+                return j
+        return None
 
 
 @dataclass
@@ -72,16 +116,6 @@ class BarycentricPoint:
             raise ValueError("weights must sum to one")
 
 
-def _bboxes(system: ConvexCellSystem) -> tuple[np.ndarray, np.ndarray]:
-    los = np.empty((len(system), system.coords.dim))
-    his = np.empty((len(system), system.coords.dim))
-    for i in range(len(system)):
-        pts = system.cell_points(i)
-        los[i] = pts.min(axis=0)
-        his[i] = pts.max(axis=0)
-    return los, his
-
-
 def hulls_intersect(system: ConvexCellSystem, ids) -> bool:
     """Do the convex hulls of the named cells share a common point?
 
@@ -96,53 +130,66 @@ def hulls_intersect(system: ConvexCellSystem, ids) -> bool:
             raise ValueError(f"cell id {i} out of range")
     if len(ids) == 1:
         return True
-    common = set(system.cells.cliques[ids[0]])
+    return _common_point(system, tuple(ids))
+
+
+def _common_point(system: ConvexCellSystem, ids: tuple[int, ...]) -> bool:
+    """Exact decision for two or more distinct cell ids, cheapest test first.
+
+    A shared vertex is a common point and disjoint boxes rule one out; only
+    the cases left between them reach the rational LP.
+    """
+    sets = system.cell_sets
+    common = sets[ids[0]]
     for i in ids[1:]:
-        common &= set(system.cells.cliques[i])
+        common = common & sets[i]
     if common:
         return True
-    los, his = _bboxes(system)
-    lo = los[ids].max(axis=0)
-    hi = his[ids].min(axis=0)
-    if np.any(lo > hi):
+    los, his = system.boxes
+    idx = list(ids)
+    if np.any(los[idx].max(axis=0) > his[idx].min(axis=0)):
         return False
     return _exact.hulls_common_point([system.cell_points(i) for i in ids])
+
+
+def _box_overlap_pairs(los: np.ndarray, his: np.ndarray):
+    """Index pairs i < j whose boxes overlap, in lexicographic order.
+
+    One broadcast comparison per block of rows keeps memory at
+    O(block * k) instead of O(k^2).
+    """
+    k, dim = los.shape
+    for start in range(0, k, _PAIR_BLOCK):
+        stop = min(start + _PAIR_BLOCK, k)
+        ok = np.triu(np.ones((stop - start, k - start), dtype=bool), 1)
+        for c in range(dim):
+            lo = np.maximum(los[start:stop, c, None], los[None, start:, c])
+            hi = np.minimum(his[start:stop, c, None], his[None, start:, c])
+            ok &= lo <= hi
+        rows, cols = np.nonzero(ok)
+        yield from zip((rows + start).tolist(), (cols + start).tolist())
 
 
 def build_nerve(system: ConvexCellSystem, cap: int = 2) -> NerveComplex:
     """Nerve of the cell cover up to dimension cap.
 
-    Pairwise checks are pruned by bounding boxes; higher tuples must pass
-    all pairwise checks and a joint bounding-box test before the exact
-    joint feasibility decision runs.
+    Candidate edges are the box-overlapping cell pairs, found in bulk by a
+    blocked broadcast test.  Each accepted edge enters the neighbour sets
+    of its cells, and a simplex s is extended only by the cells after s[-1]
+    that neighbour every cell of s (Zomorodian's incremental expansion).
+    Every candidate is then decided exactly, as in `hulls_intersect`.
     """
     k = len(system)
-    los, his = _bboxes(system)
-    vertex_sets = [set(c) for c in system.cells.cliques]
-
-    def joint_test(ids: tuple[int, ...]) -> bool:
-        common = vertex_sets[ids[0]]
-        for i in ids[1:]:
-            common = common & vertex_sets[i]
-        if common:
-            return True
-        lo = los[list(ids)].max(axis=0)
-        hi = his[list(ids)].min(axis=0)
-        if np.any(lo > hi):
-            return False
-        return _exact.hulls_common_point([system.cell_points(i) for i in ids])
-
-    pair = [[False] * k for _ in range(k)]
+    los, his = system.boxes
+    # later_nbrs[i] holds the cells j > i that form a nerve edge with i
+    later_nbrs: list[set[int]] = [set() for _ in range(k)]
     simplices: dict[int, list[tuple[int, ...]]] = {0: [(i,) for i in range(k)]}
     if cap >= 1:
         edges = []
-        for i in range(k):
-            for j in range(i + 1, k):
-                if np.any(np.maximum(los[i], los[j]) > np.minimum(his[i], his[j])):
-                    continue
-                if joint_test((i, j)):
-                    pair[i][j] = pair[j][i] = True
-                    edges.append((i, j))
+        for i, j in _box_overlap_pairs(los, his):
+            if _common_point(system, (i, j)):
+                later_nbrs[i].add(j)
+                edges.append((i, j))
         if edges:
             simplices[1] = edges
     frontier = simplices.get(1, [])
@@ -150,11 +197,11 @@ def build_nerve(system: ConvexCellSystem, cap: int = 2) -> NerveComplex:
     while dim < cap and frontier:
         nxt = []
         for s in frontier:
-            last = s[-1]
-            for j in range(last + 1, k):
-                if not all(pair[v][j] for v in s):
-                    continue
-                if joint_test(s + (j,)):
+            common = later_nbrs[s[-1]]
+            for v in s[:-1]:
+                common = common & later_nbrs[v]
+            for j in sorted(common):
+                if _common_point(system, s + (j,)):
                     nxt.append(s + (j,))
         if nxt:
             simplices[dim + 1] = sorted(nxt)
@@ -180,32 +227,26 @@ def nerve_coarsening_map(
     """
     if fine_system.coords.n != coarse_system.coords.n:
         raise ValueError("cell systems must share their vertex cloud")
-    coarse_sets = [set(c) for c in coarse_system.cells.cliques]
     assignment = []
     for cell in fine_system.cells.cliques:
-        s = set(cell)
-        for j, cs in enumerate(coarse_sets):
-            if s <= cs:
-                assignment.append(j)
-                break
-        else:
+        j = coarse_system.first_cell_containing(cell)
+        if j is None:
             raise ValueError(
                 f"fine cell {cell} is not contained in any coarse cell; "
                 "the systems are not nested"
             )
+        assignment.append(j)
     return SimplicialMap(fine_nerve.complex, coarse_nerve.complex, tuple(assignment))
 
 
 def shadow_contains(system: ConvexCellSystem, x) -> bool:
     """Exact membership of a point in the union of the cell hulls."""
     x = np.asarray(x, dtype=float)
-    los, his = _bboxes(system)
-    for i in range(len(system)):
-        if np.any(x < los[i]) or np.any(x > his[i]):
-            continue
-        if _exact.point_in_hull(x, system.cell_points(i)):
-            return True
-    return False
+    los, his = system.boxes
+    outside = np.any(x < los, axis=1) | np.any(x > his, axis=1)
+    return any(
+        _exact.point_in_hull(x, system.cell_points(i)) for i in np.flatnonzero(~outside)
+    )
 
 
 def project_point(

@@ -23,7 +23,14 @@ from ripshadow.limits import (
     run_projection_check,
     vertex_level_f_map,
 )
-from ripshadow.models import Circle, PointCloud, SamplerSpec, euclidean_metric, sample
+from ripshadow.models import (
+    Circle,
+    PointCloud,
+    SamplerSpec,
+    euclidean_metric,
+    sample,
+    theta_graph,
+)
 from ripshadow.rips import build_rips
 
 
@@ -51,6 +58,16 @@ def test_dense_enumeration_prefixes_nest():
 def test_default_sample_count_follows_the_finest_scale():
     c = Circle(1.0)
     assert default_sample_count(c, 0.2) == math.ceil(2.2 * c.length / 0.2)
+
+
+def test_measured_density_on_the_theta_graph_matches_the_dense_formula():
+    g = theta_graph()
+    params = np.random.default_rng(3).uniform(0.0, g.length, size=100)
+    grid_n = 2048  # eight blocks of grid rows
+    grid = np.arange(grid_n) * (g.length / grid_n)
+    d = np.asarray(g.geodesic_param_distance(grid[:, None], params[None, :]))
+    want = float(d.min(axis=1).max()) + g.length / (2.0 * grid_n)
+    assert measured_density(g, params) == want
 
 
 def test_measured_density_bounds_the_true_gap_from_above():

@@ -11,6 +11,7 @@ from ripshadow.oracle import (
     OracleBudgetError,
     brute_homology,
     brute_hull_intersection,
+    brute_nerve,
     brute_rips,
 )
 from ripshadow.rips import CliqueList, SimplicialComplex, build_rips
@@ -102,6 +103,13 @@ def test_grid_oracle_works_in_three_dimensions():
     sys_ = _system(pts, [(0, 1, 2, 3), (4, 5, 6, 7)])
     assert brute_hull_intersection(sys_, (0, 1), resolution=12)
     assert hulls_intersect(sys_, (0, 1))
+
+
+def test_nerve_subset_scan_budget():
+    pts = np.arange(42, dtype=float).reshape(21, 2)
+    sys_ = _system(pts, [(i,) for i in range(21)])
+    with pytest.raises(OracleBudgetError):
+        brute_nerve(sys_, cap=1)
 
 
 def test_grid_oracle_refuses_high_ambient_dimension():

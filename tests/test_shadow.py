@@ -6,14 +6,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ripshadow.homology import betti
 from ripshadow.models import Circle, PointCloud, SamplerSpec, euclidean_metric, sample, theta_graph
-from ripshadow.oracle import brute_hull_intersection
+from ripshadow.oracle import brute_hull_intersection, brute_nerve
 from ripshadow.rips import CliqueList, maximal_cliques
 from ripshadow.shadow import (
     BarycentricPoint,
     ConvexCellSystem,
+    _box_overlap_pairs,
     build_nerve,
     hulls_intersect,
     nerve_coarsening_map,
@@ -154,3 +157,77 @@ def test_coarsening_map_rejects_unnested_systems():
         nerve_coarsening_map(
             fine, build_nerve(fine, cap=2), coarse, build_nerve(coarse, cap=2)
         )
+
+
+@st.composite
+def _cell_systems(draw):
+    # integer grid coordinates make touching and collinear hulls common, so
+    # the exact decision runs on boundary cases in both directions
+    dim = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(2, 8))
+    coords = draw(
+        st.lists(
+            st.lists(st.integers(0, 4), min_size=dim, max_size=dim),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    cells = draw(
+        st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=4), min_size=1, max_size=7)
+    )
+    return _system(0.5 * np.array(coords, dtype=float), {tuple(sorted(c)) for c in cells})
+
+
+# crossing segments meet without a shared vertex (the LP says yes); the
+# second pair has overlapping boxes but no common point (the LP says no)
+_CROSSING = _system([[0, 0], [2, 2], [0, 2], [2, 0]], [(0, 1), (2, 3)])
+_NEAR_MISS = _system([[0, 0], [2, 2], [1.5, 0], [2, 1]], [(0, 1), (2, 3)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cell_systems(), st.integers(1, 3))
+@example(_CROSSING, 1)
+@example(_NEAR_MISS, 2)
+def test_nerve_matches_the_subset_scan_oracle(sys_, cap):
+    assert build_nerve(sys_, cap=cap).complex.simplices == brute_nerve(sys_, cap=cap).simplices
+
+
+def test_nerve_edge_cases():
+    segs = _system([[0, 0], [1, 0], [3, 0], [4, 0], [6, 0], [7, 0]], [(0, 1), (2, 3), (4, 5)])
+    # cap 0 keeps only the vertices, whatever overlaps
+    assert build_nerve(_CROSSING, cap=0).complex.simplices == {0: [(0,), (1,)]}
+    assert build_nerve(_system([[0, 0], [1, 1]], [(0, 1)]), cap=2).complex.simplices == {
+        0: [(0,)]
+    }
+    # disjoint cells leave an empty frontier: no edges and no triangles
+    assert build_nerve(segs, cap=2).complex.simplices == {0: [(0,), (1,), (2,)]}
+    assert not build_nerve(_NEAR_MISS, cap=2).complex.simplices.get(1)
+    assert build_nerve(_CROSSING, cap=2).complex.simplices[1] == [(0, 1)]
+
+
+def test_boxes_and_pair_candidates_match_per_cell_loops():
+    sys_ = _circle_system(300, 0.15)
+    assert len(sys_) > 256  # more than one block of rows
+    los, his = sys_.boxes
+    for i in range(len(sys_)):
+        pts = sys_.cell_points(i)
+        assert np.array_equal(los[i], pts.min(axis=0))
+        assert np.array_equal(his[i], pts.max(axis=0))
+    dense = np.all(
+        np.maximum(los[:, None], los[None]) <= np.minimum(his[:, None], his[None]), axis=2
+    )
+    want = [tuple(p) for p in np.argwhere(np.triu(dense, 1)).tolist()]
+    assert list(_box_overlap_pairs(los, his)) == want
+    edges = build_nerve(sys_, cap=1).complex.simplices[1]
+    assert edges == sorted(edges)
+    assert set(edges) <= set(want)
+
+
+def test_first_cell_containing_matches_a_linear_scan():
+    sys_ = _circle_system(40, 0.5)
+    sets = [set(c) for c in sys_.cells.cliques]
+    queries = [(v,) for v in range(sys_.coords.n)] + list(sys_.cells.cliques)
+    queries += [(0, 20), (sys_.coords.n,)]
+    for q in queries:
+        want = next((j for j, cs in enumerate(sets) if set(q) <= cs), None)
+        assert sys_.first_cell_containing(q) == want
