@@ -90,7 +90,7 @@ def dense_arc_enumeration(model: Model, count: int, seed: int = 0) -> np.ndarray
 
 
 def projection_parameters(model: Model, cloud: PointCloud) -> np.ndarray:
-    return np.array([model.project(p).param for p in cloud.points], dtype=float)
+    return model.project_many(cloud.points)[1]
 
 
 _DENSITY_BLOCK = 256

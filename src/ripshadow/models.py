@@ -35,7 +35,10 @@ from scipy.spatial.distance import cdist
 
 
 class AmbiguousProjectionError(ValueError):
-    """Raised when a point sits on the medial axis of a model."""
+    """Raised when a point sits on the medial axis of a model; ``row`` is
+    the index of the first such point of a projected batch."""
+
+    row: int | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -163,34 +166,6 @@ class ProjectionResult:
     distance: float
 
 
-@dataclass(frozen=True)
-class ModelConstants:
-    """Regularity constants of a model, evaluated at one chord bound."""
-
-    normal_clearance: float
-    homotopy_radius: float
-    tube_radius: float
-    chord_bound: float
-    distortion: float
-    provenance: dict
-
-    def projection_displacement(self, t: float) -> float:
-        # nearest-point projection moves a tube point by at most its
-        # distance to the model
-        return float(t)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "normal_clearance": float(self.normal_clearance),
-            "homotopy_radius": float(self.homotopy_radius),
-            "tube_radius": float(self.tube_radius),
-            "chord_bound": float(self.chord_bound),
-            "distortion": float(self.distortion),
-            "projection_displacement": "t",
-            "provenance": self.provenance,
-        }
-
-
 class Model:
     """Base class: a compact subset of Euclidean space with arc-length
     coordinates in [0, length)."""
@@ -212,11 +187,24 @@ class Model:
     def project(self, x: np.ndarray) -> ProjectionResult:
         raise NotImplementedError
 
+    def project_many(self, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Project every row of X: (points, params, distances), row by row."""
+        X = np.asarray(X, dtype=float)
+        points, params, dists = np.zeros(X.shape), np.zeros(len(X)), np.zeros(len(X))
+        for i, x in enumerate(X):
+            try:
+                res = self.project(x)
+            except AmbiguousProjectionError as exc:
+                exc.row = i
+                raise
+            points[i], params[i], dists[i] = res.point, res.param, res.distance
+        return points, params, dists
+
     def geodesic_param_distance(self, t1, t2):
         raise NotImplementedError
 
     def geodesic_metric(self, cloud: PointCloud) -> MetricMatrix:
-        params = np.array([self.project(p).param for p in cloud.points])
+        params = self.project_many(cloud.points)[1]
         d = self.geodesic_param_distance(params[:, None], params[None, :])
         d = np.asarray(d, dtype=float)
         np.fill_diagonal(d, 0.0)
@@ -403,13 +391,16 @@ def _trefoil_d2(u, scale):
 class Trefoil(Model):
     """Trefoil knot  scale * (sin u + 2 sin 2u, cos u - 2 cos 2u, -sin 3u).
 
-    Arc length is tabulated on a dense parameter grid; projection does a
-    coarse scan over the table followed by golden-section refinement.
+    Arc length is tabulated on a dense parameter grid.  Projection takes a
+    batch: a coarse scan over ``_SCAN`` curve points, ``_BLOCK`` query rows
+    at a time to bound memory, then golden-section refinement of all rows
+    at once, and of far scan minima that may tie with it (ambiguity test).
     """
 
     kind = "trefoil"
     _TABLE = 8192
     _SCAN = 4096
+    _BLOCK = 32
     _PAIRS = 1024
 
     def __init__(self, scale: float = 1.0):
@@ -457,51 +448,69 @@ class Trefoil(Model):
         return u, _trefoil_point(u, self.scale)
 
     def project(self, x: np.ndarray) -> ProjectionResult:
-        x = np.asarray(x, dtype=float)
-        u_grid, pts = self._scan_points
-        d2 = np.sum((pts - x) ** 2, axis=1)
-        best = int(np.argmin(d2))
-        h = 2.0 * math.pi / self._SCAN
-        refined_u, refined_d2 = self._golden(x, u_grid[best] - 2 * h, u_grid[best] + 2 * h)
-        # ambiguity: another scan minimum, far away in parameter, equally close
-        order = np.argsort(d2)
-        for j in order[1:8]:
-            du = abs(u_grid[int(j)] - u_grid[best]) % (2.0 * math.pi)
-            du = min(du, 2.0 * math.pi - du)
-            if du <= 4 * h:
-                continue
-            if d2[int(j)] > refined_d2 + 1e-7 * self.scale**2 + 4.0 * h * self.scale * math.sqrt(refined_d2) + 40.0 * h**2 * self.scale**2:
-                continue
-            alt_u, alt_d2 = self._golden(x, u_grid[int(j)] - 2 * h, u_grid[int(j)] + 2 * h)
-            if abs(math.sqrt(alt_d2) - math.sqrt(refined_d2)) < 1e-9 * self.scale:
-                p1 = _trefoil_point(refined_u, self.scale)
-                p2 = _trefoil_point(alt_u, self.scale)
-                if np.linalg.norm(p1 - p2) > 1e-6 * self.scale:
-                    raise AmbiguousProjectionError(
-                        "point is equidistant from two separated strands"
-                    )
-        p = _trefoil_point(refined_u, self.scale)
-        t = float(self._arc_of_param(refined_u))
-        return ProjectionResult(p, t, float(np.linalg.norm(x - p)))
+        p, t, d = self.project_many(np.asarray(x, dtype=float)[None])
+        return ProjectionResult(p[0], float(t[0]), float(d[0]))
 
-    def _golden(self, x, lo, hi):
+    def project_many(self, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        X = np.asarray(X, dtype=float)
+        n, s = len(X), self.scale
+        u_grid, pts = self._scan_points
+        h = 2.0 * math.pi / self._SCAN
+        best = np.zeros(n, dtype=np.intp)
+        near, near_d2 = np.zeros((n, 7), dtype=np.intp), np.zeros((n, 7))
+        for lo in range(0, n, self._BLOCK):
+            blk = slice(lo, lo + self._BLOCK)
+            # summed coordinate by coordinate, in np.sum's order, as 2-d arrays
+            d2 = sum((pts[:, c] - X[blk, c, None]) ** 2 for c in range(3))
+            best[blk] = np.argmin(d2, axis=1)
+            near[blk] = np.argsort(d2, axis=1)[:, 1:8]
+            near_d2[blk] = np.take_along_axis(d2, near[blk], axis=1)
+        u, f = self._golden(X, u_grid[best] - 2 * h, u_grid[best] + 2 * h)
+        # ambiguity: another scan minimum, far away in parameter, equally close
+        du = np.abs(u_grid[near] - u_grid[best][:, None]) % (2.0 * math.pi)
+        du = np.minimum(du, 2.0 * math.pi - du)
+        slack = f + 1e-7 * s**2 + 4.0 * h * s * np.sqrt(f) + 40.0 * h**2 * s**2
+        rows, cols = np.nonzero((du > 4 * h) & (near_d2 <= slack[:, None]))
+        if rows.size:
+            alt = u_grid[near[rows, cols]]
+            alt_u, alt_f = self._golden(X[rows], alt - 2 * h, alt + 2 * h)
+            gap = _trefoil_point(u[rows], s) - _trefoil_point(alt_u, s)
+            tied = np.abs(np.sqrt(alt_f) - np.sqrt(f[rows])) < 1e-9 * s
+            apart = np.sqrt(np.vecdot(gap, gap)) > 1e-6 * s
+            if np.any(tied & apart):
+                msg = "point is equidistant from two separated strands"
+                exc = AmbiguousProjectionError(msg)
+                exc.row = int(rows[tied & apart].min())
+                raise exc
+        p = _trefoil_point(u, s)
+        diff = X - p
+        return p, self._arc_of_param(u), np.sqrt(np.vecdot(diff, diff))
+
+    def _golden(self, X, a, b):
+        """Golden-section search for the nearest parameter in [a, b], every
+        row at once; each row stops once its own bracket is 1e-12 wide."""
         phi = (math.sqrt(5.0) - 1.0) / 2.0
-        a, b = lo, hi
-        c = b - phi * (b - a)
-        d = a + phi * (b - a)
-        fc = float(np.sum((_trefoil_point(c, self.scale) - x) ** 2))
-        fd = float(np.sum((_trefoil_point(d, self.scale) - x) ** 2))
-        while b - a > 1e-12:
-            if fc < fd:
-                b, d, fd = d, c, fc
-                c = b - phi * (b - a)
-                fc = float(np.sum((_trefoil_point(c, self.scale) - x) ** 2))
-            else:
-                a, c, fc = c, d, fd
-                d = a + phi * (b - a)
-                fd = float(np.sum((_trefoil_point(d, self.scale) - x) ** 2))
+        a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+
+        def f(u, x):
+            return np.sum((_trefoil_point(u, self.scale) - x) ** 2, axis=-1)
+
+        c, d = b - phi * (b - a), a + phi * (b - a)
+        fc, fd = f(c, X), f(d, X)
+        live = np.flatnonzero(b - a > 1e-12)
+        while live.size:
+            cl, dl, fcl, fdl = c[live], d[live], fc[live], fd[live]
+            left = fcl < fdl
+            # left: [a, d] keeps c as its upper probe; right: [c, b] keeps d
+            na, nb = np.where(left, a[live], cl), np.where(left, dl, b[live])
+            probe = np.where(left, nb - phi * (nb - na), na + phi * (nb - na))
+            fp = f(probe, X[live])
+            c[live], d[live] = np.where(left, probe, dl), np.where(left, cl, probe)
+            fc[live], fd[live] = np.where(left, fp, fdl), np.where(left, fcl, fp)
+            a[live], b[live] = na, nb
+            live = live[b[live] - a[live] > 1e-12]
         u = 0.5 * (a + b)
-        return u, float(np.sum((_trefoil_point(u, self.scale) - x) ** 2))
+        return u, f(u, X)
 
     def geodesic_param_distance(self, t1, t2):
         delta = np.abs(np.asarray(t1) - np.asarray(t2)) % self.length
@@ -963,23 +972,6 @@ def sample(spec: SamplerSpec) -> PointCloud:
             p = p + offset @ basis
         pts[i] = p
     return PointCloud(pts)
-
-
-def project(model: Model, x) -> np.ndarray:
-    """Nearest model point; raises AmbiguousProjectionError on the medial axis."""
-    return model.project(np.asarray(x, dtype=float)).point
-
-
-def constants(model: Model, chord_bound: float) -> ModelConstants:
-    """Bundle the model's regularity constants at one chord bound."""
-    return ModelConstants(
-        normal_clearance=model.normal_clearance,
-        homotopy_radius=model.homotopy_radius,
-        tube_radius=model.tube_radius,
-        chord_bound=float(chord_bound),
-        distortion=model.distortion(chord_bound),
-        provenance=model.constants_provenance(),
-    )
 
 
 # ---------------------------------------------------------------------------

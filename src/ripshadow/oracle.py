@@ -6,6 +6,7 @@ Budgets are hard limits; the oracles are for desk-scale cross-checks.
 """
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -151,3 +152,22 @@ def brute_hull_intersection(
         if ok:
             return True
     return False
+
+
+def brute_curve_projection(curve, x, period=2.0 * math.pi, coarse=20_000):
+    """Nearest parameter and distance from x to the closed curve ``curve(u)``,
+    u in [0, period), by scans alone: ``coarse`` uniform parameters, then
+    four nested 201-point scans around each local minimum of that scan."""
+    x = np.asarray(x, dtype=float)
+    u = np.arange(coarse) * (period / coarse)
+    d2 = np.sum((curve(u) - x) ** 2, axis=1)
+    best = (math.inf, 0.0)
+    for i in np.flatnonzero((d2 <= np.roll(d2, 1)) & (d2 <= np.roll(d2, -1))):
+        lo, hi = u[i] - period / coarse, u[i] + period / coarse
+        for _ in range(4):
+            grid = np.linspace(lo, hi, 201)
+            dd = np.sum((curve(grid) - x) ** 2, axis=1)
+            k = int(np.argmin(dd))
+            lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, 200)]
+        best = min(best, (float(dd[k]), float(grid[k] % period)))
+    return best[1], math.sqrt(best[0])

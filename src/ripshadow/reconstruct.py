@@ -26,6 +26,7 @@ from .models import (
     euclidean_metric,
 )
 from .rips import build_rips
+from .shadow import _box_overlap_pairs
 
 OK = "ok"
 OUT_OF_REGIME = "out-of-regime"
@@ -109,33 +110,27 @@ def order_by_projection(model: Model, cloud: PointCloud):
     """
     if not model.is_closed_curve():
         raise ValueError("projection ordering needs a closed curve model")
-    projections = []
-    for i, p in enumerate(cloud.points):
-        try:
-            projections.append(model.project(p))
-        except AmbiguousProjectionError as exc:
-            raise AmbiguousProjectionError(
-                f"sample {i} at {tuple(float(v) for v in p)}: {exc}"
-            ) from exc
-    order = sorted(range(cloud.n), key=lambda i: (projections[i].param, i))
+    try:
+        _, params, dists = model.project_many(cloud.points)
+    except AmbiguousProjectionError as exc:
+        where = tuple(float(v) for v in cloud.points[exc.row])
+        raise AmbiguousProjectionError(f"sample {exc.row} at {where}: {exc}") from exc
+    order = sorted(range(cloud.n), key=lambda i: (params[i], i))
     tol = 1e-9 * model.length
     groups: list[list[int]] = []
     for i in order:
-        if groups and projections[i].param - projections[groups[-1][0]].param <= tol:
+        if groups and params[i] - params[groups[-1][0]] <= tol:
             groups[-1].append(i)
         else:
             groups.append([i])
     # arc positions wrap, so a group at the end may continue the one at 0
     if len(groups) > 1:
-        wrap = projections[groups[0][0]].param + model.length
-        if wrap - projections[groups[-1][0]].param <= tol:
+        wrap = params[groups[0][0]] + model.length
+        if wrap - params[groups[-1][0]] <= tol:
             groups[0] = groups.pop() + groups[0]
-    reps = []
-    for g in groups:
-        best = min(g, key=lambda i: (projections[i].distance, i))
-        reps.append(best)
-    reps.sort(key=lambda i: (projections[i].param, i))
-    return reps, np.array([projections[i].param for i in reps])
+    reps = [min(g, key=lambda i: (dists[i], i)) for g in groups]
+    reps.sort(key=lambda i: (params[i], i))
+    return reps, params[reps]
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +138,6 @@ def order_by_projection(model: Model, cloud: PointCloud):
 
 
 def _edge_boxes(pts: np.ndarray, closed: bool):
-    k = pts.shape[0]
     nxt = np.roll(pts, -1, axis=0)
     if not closed:
         nxt = nxt[:-1]
@@ -155,37 +149,31 @@ def _edge_boxes(pts: np.ndarray, closed: bool):
 
 def polyline_is_simple(curve: Polyline) -> bool:
     """No two edges share a point besides common endpoints.  Exact tests
-    run only on bounding-box overlaps; the boxes use the same floats the
-    rational predicates consume, so the prefilter loses nothing."""
-    pts = curve.points
-    k = pts.shape[0]
+    run only on the edge pairs whose closed bounding boxes overlap, taken
+    in lexicographic order from one bulk box test; the boxes use the same
+    floats the rational predicates consume, so the prefilter loses nothing."""
     edges = list(curve.edges())
     m = len(edges)
-    lo, hi = _edge_boxes(pts, curve.closed)
-    for i in range(m):
-        a0, a1 = edges[i]
-        for j in range(i + 1, m):
-            if np.any(lo[i] > hi[j]) or np.any(lo[j] > hi[i]):
-                continue
-            b0, b1 = edges[j]
-            meets_at_a1 = j == i + 1  # shared vertex a1 == b0
-            meets_at_a0 = curve.closed and i == 0 and j == m - 1  # a0 == b1
-            if meets_at_a1 or meets_at_a0:
-                # consecutive edges meet at one vertex; any further contact
-                # means a fold-back along the shared line
-                if meets_at_a1 and (
-                    _exact.point_on_segment(a0, b0, b1)
-                    or _exact.point_on_segment(b1, a0, a1)
-                ):
-                    return False
-                if meets_at_a0 and (
-                    _exact.point_on_segment(a1, b0, b1)
-                    or _exact.point_on_segment(b0, a0, a1)
-                ):
-                    return False
-                continue
-            if _exact.segments_intersect(a0, a1, b0, b1):
+    for i, j in _box_overlap_pairs(*_edge_boxes(curve.points, curve.closed)):
+        (a0, a1), (b0, b1) = edges[i], edges[j]
+        meets_at_a1 = j == i + 1  # shared vertex a1 == b0
+        meets_at_a0 = curve.closed and i == 0 and j == m - 1  # a0 == b1
+        if meets_at_a1 or meets_at_a0:
+            # consecutive edges meet at one vertex; any further contact
+            # means a fold-back along the shared line
+            if meets_at_a1 and (
+                _exact.point_on_segment(a0, b0, b1)
+                or _exact.point_on_segment(b1, a0, a1)
+            ):
                 return False
+            if meets_at_a0 and (
+                _exact.point_on_segment(a1, b0, b1)
+                or _exact.point_on_segment(b0, a0, a1)
+            ):
+                return False
+            continue
+        if _exact.segments_intersect(a0, a1, b0, b1):
+            return False
     return True
 
 
@@ -201,19 +189,18 @@ def _hausdorff_to_model(model: Model, curve: Polyline, zeta: float) -> float:
     finer than zeta and queries segment distances.  Both walks add half a
     step, so the returned value is an upper bound.
     """
-    pts = curve.points
     segs = list(curve.edges())
     step = max(zeta / 10.0, 1e-6 * model.length)
 
-    d_curve = 0.0
-    for a, b in segs:
-        length = float(np.linalg.norm(b - a))
-        cuts = max(2, int(math.ceil(length / step)) + 1)
-        ts = np.linspace(0.0, 1.0, cuts)
-        worst = 0.0
-        for t in ts:
-            worst = max(worst, model.project(a + t * (b - a)).distance)
-        d_curve = max(d_curve, worst + length / (cuts - 1) / 2.0)
+    # the walk points of every edge go through one batched projection
+    lengths = np.array([np.linalg.norm(b - a) for a, b in segs])
+    cuts = np.maximum(2, np.ceil(lengths / step).astype(int) + 1)
+    walks = [
+        a + np.linspace(0.0, 1.0, c)[:, None] * (b - a) for (a, b), c in zip(segs, cuts)
+    ]
+    dists = model.project_many(np.concatenate(walks))[2]
+    worst = np.maximum.reduceat(dists, np.cumsum(cuts) - cuts)
+    d_curve = float(np.max(worst + lengths / (cuts - 1) / 2.0))
 
     grid_n = int(math.ceil(model.length / step))
     grid = np.arange(grid_n) * (model.length / grid_n)

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ripshadow.cli import _points_csv, _write_text
 from ripshadow.models import (
@@ -15,6 +17,7 @@ from ripshadow.models import (
     PointCloud,
     SamplerSpec,
     Trefoil,
+    _trefoil_point,
     check_scale_conditions,
     epsilon_path_metric,
     euclidean_metric,
@@ -24,6 +27,7 @@ from ripshadow.models import (
     sample,
     theta_graph,
 )
+from ripshadow.oracle import brute_curve_projection
 
 
 def _circle_cloud(n: int, r: float = 1.0) -> PointCloud:
@@ -116,6 +120,154 @@ def test_circle_projection_and_geodesic():
 def test_circle_projection_ambiguous_at_center():
     with pytest.raises(AmbiguousProjectionError):
         Circle(1.0).project(np.array([0.0, 0.0]))
+
+
+def test_circle_batch_projection_loops_over_rows():
+    c = Circle(2.0)
+    X = np.array([[3.0, 1.0], [-0.5, 0.25], [0.0, -4.0]])
+    points, params, dists = c.project_many(X)
+    for i, x in enumerate(X):
+        res = c.project(x)
+        assert np.array_equal(points[i], res.point)
+        assert (params[i], dists[i]) == (res.param, res.distance)
+    with pytest.raises(AmbiguousProjectionError) as info:
+        c.project_many(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]))
+    assert info.value.row == 1
+
+
+def _trefoil_queries(scale: float, n: int, seed: int) -> np.ndarray:
+    """Points within 0.05 * scale of the curve mixed with points up to
+    6 * scale away, in random order."""
+    rng = np.random.default_rng(seed)
+    near = _trefoil_point(rng.uniform(0.0, 2.0 * math.pi, n), scale)
+    near += rng.uniform(-0.05, 0.05, (n, 3)) * scale
+    far = rng.uniform(-6.0, 6.0, (n, 3)) * scale
+    return np.where(rng.random((n, 1)) < 0.5, near, far)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([0.4, 1.0, 2.5]), st.integers(1, 80), st.integers(0, 2**32 - 1))
+def test_trefoil_batch_projection_equals_row_by_row(scale, n, seed):
+    """Up to 80 rows span three 32-row scan blocks; a row's result, and
+    whether it is ambiguous, must not depend on the rest of its batch."""
+    t = Trefoil(scale)
+    X = _trefoil_queries(scale, n, seed)
+    rows = []
+    for i in range(n):
+        try:
+            rows.append(t.project_many(X[i : i + 1]))
+        except AmbiguousProjectionError:
+            with pytest.raises(AmbiguousProjectionError) as info:
+                t.project_many(X)
+            assert info.value.row == i
+            return
+    points, params, dists = t.project_many(X)
+    for i, (p, u, d) in enumerate(rows):
+        assert np.array_equal(points[i], p[0])
+        assert params[i] == u[0] and dists[i] == d[0]
+        res = t.project(X[i])
+        assert np.array_equal(res.point, p[0])
+        assert (res.param, res.distance) == (u[0], d[0])
+
+
+def _scalar_golden(scale, x, a, b):
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+
+    def f(u):
+        return float(np.sum((_trefoil_point(u, scale) - x) ** 2))
+
+    c, d = b - phi * (b - a), a + phi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > 1e-12:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - phi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + phi * (b - a)
+            fd = f(d)
+    u = 0.5 * (a + b)
+    return u, f(u)
+
+
+def _scalar_trefoil_project(t: Trefoil, x):
+    """One point at a time, by loops: the reference the batch must equal bit
+    for bit; None for an ambiguous point."""
+    u_grid, pts = t._scan_points
+    s, h = t.scale, 2.0 * math.pi / t._SCAN
+    d2 = np.sum((pts - x) ** 2, axis=1)
+    best = int(np.argmin(d2))
+    u, f = _scalar_golden(s, x, u_grid[best] - 2 * h, u_grid[best] + 2 * h)
+    for j in np.argsort(d2)[1:8]:
+        du = abs(u_grid[j] - u_grid[best]) % (2.0 * math.pi)
+        if min(du, 2.0 * math.pi - du) <= 4 * h:
+            continue
+        slack = f + 1e-7 * s**2 + 4.0 * h * s * math.sqrt(f) + 40.0 * h**2 * s**2
+        if d2[j] > slack:
+            continue
+        alt_u, alt_f = _scalar_golden(s, x, u_grid[j] - 2 * h, u_grid[j] + 2 * h)
+        if abs(math.sqrt(alt_f) - math.sqrt(f)) < 1e-9 * s:
+            gap = _trefoil_point(u, s) - _trefoil_point(alt_u, s)
+            if np.linalg.norm(gap) > 1e-6 * s:
+                return None
+    p = _trefoil_point(u, s)
+    return p, float(t._arc_of_param(u)), float(np.linalg.norm(x - p))
+
+
+def test_trefoil_batch_projection_equals_the_scalar_loops():
+    for scale in (0.4, 2.5):
+        t = Trefoil(scale)
+        X = _trefoil_queries(scale, 50, 17)
+        X[[7, 41]] = [[0.0, 0.0, -0.4 * scale], [0.0, 0.0, 0.0]]
+        ref = [_scalar_trefoil_project(t, x) for x in X]
+        assert [i for i, r in enumerate(ref) if r is None] == [7, 41]
+        points, params, dists = t.project_many(np.delete(X, [7, 41], axis=0))
+        ref = [r for r in ref if r is not None]
+        for i, (p, u, d) in enumerate(ref):
+            assert np.array_equal(points[i], p) and (params[i], dists[i]) == (u, d)
+
+
+def test_batched_golden_search_stops_each_row_on_its_own():
+    # brackets from 1e-12 to 1 wide take from 0 to about 57 iterations
+    t = Trefoil(1.0)
+    X = _trefoil_queries(1.0, 6, 3)
+    lo = np.linspace(0.5, 5.0, 6)
+    hi = lo + np.array([1e-12, 1e-9, 1e-6, 1e-3, 0.1, 1.0])
+    u, f = t._golden(X, lo, hi)
+    for i in range(6):
+        ui, fi = t._golden(X[i : i + 1], lo[i : i + 1], hi[i : i + 1])
+        assert (u[i], f[i]) == (ui[0], fi[0])
+    assert np.all((lo <= u) & (u <= hi))
+
+
+def test_trefoil_projection_distances_match_a_dense_scan():
+    for scale in (0.5, 2.0):
+        t = Trefoil(scale)
+        X = _trefoil_queries(scale, 40, 11)
+        _, _, dists = t.project_many(X)
+        for x, d in zip(X, dists):
+            _, ref = brute_curve_projection(lambda u: _trefoil_point(u, scale), x)
+            assert abs(d - ref) <= 1e-6 * scale
+
+
+def test_trefoil_batch_keeps_the_ambiguity_of_the_symmetry_axis():
+    # points of the z-axis, the origin among them, lie on the axis of the
+    # knot's 3-fold rotation symmetry
+    t = Trefoil(1.0)
+    X = np.array([[3.0, 0.0, 0.0], [0.0, 3.0, 0.5], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+    with pytest.raises(AmbiguousProjectionError) as info:
+        t.project_many(X)
+    assert info.value.row == 2
+    with pytest.raises(AmbiguousProjectionError):
+        t.project(np.zeros(3))
+    assert t.project_many(X[[0, 1, 3]])[2].shape == (3,)
+    # past the first scan block
+    X = _trefoil_queries(1.0, 40, 5)
+    X[35] = X[38] = [0.0, 0.0, 0.3]
+    with pytest.raises(AmbiguousProjectionError) as info:
+        t.project_many(X)
+    assert info.value.row == 35
 
 
 def test_trefoil_constants_are_stable():

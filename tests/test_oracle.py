@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from ripshadow.homology import betti
 from ripshadow.models import PointCloud, euclidean_metric
 from ripshadow.oracle import (
     OracleBudgetError,
+    brute_curve_projection,
     brute_homology,
     brute_hull_intersection,
     brute_nerve,
@@ -119,3 +122,13 @@ def test_grid_oracle_refuses_high_ambient_dimension():
     sys_ = ConvexCellSystem(PointCloud(pts), CliqueList(3, ((0, 1), (1, 2))))
     with pytest.raises(OracleBudgetError):
         brute_hull_intersection(sys_, (0, 1))
+
+
+def test_curve_scan_matches_the_circle_in_closed_form():
+    def circle(u):
+        return np.stack([2.0 * np.cos(u), 2.0 * np.sin(u)], axis=-1)
+
+    for x in ([3.0, 1.0], [0.1, -0.5], [-2.0, 0.0], [1.2, 1.6]):
+        u, d = brute_curve_projection(circle, x)
+        assert d == pytest.approx(abs(2.0 - math.hypot(*x)), abs=1e-9)
+        assert u == pytest.approx(math.atan2(x[1], x[0]) % (2.0 * math.pi), abs=1e-6)

@@ -4,12 +4,24 @@ from __future__ import annotations
 
 import json
 import math
+from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from ripshadow import _exact
 from ripshadow.cli import _curve_csv, _write_json, _write_text
-from ripshadow.models import Circle, PointCloud, SamplerSpec, sample
+from ripshadow.models import (
+    AmbiguousProjectionError,
+    Circle,
+    PointCloud,
+    SamplerSpec,
+    Trefoil,
+    sample,
+)
 from ripshadow.reconstruct import (
     LemmaCheck,
     Polyline,
@@ -68,6 +80,76 @@ def test_touching_non_adjacent_edges_are_not_simple():
     assert not polyline_is_simple(curve)
 
 
+def test_consecutive_collinear_edges_fold_back():
+    straight = Polyline(np.array([[0.0, 0.0], [2.0, 0.0], [3.0, 0.0]]), closed=False)
+    assert polyline_is_simple(straight)
+    # the second edge runs back over the first, past its start
+    folded = Polyline(np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 0.0]]), closed=False)
+    assert not polyline_is_simple(folded)
+
+
+def test_closing_edge_folding_back_onto_the_first_edge():
+    # the closing edge (2, 0) -> (0, 0) runs back over the first edge
+    curve = Polyline(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [2.0, 0.0]]))
+    assert not polyline_is_simple(curve)
+    assert polyline_is_simple(Polyline(curve.points, closed=False))
+
+
+def test_edges_whose_boxes_touch_only_at_a_corner():
+    # first and last edge meet at (0, 0), the one corner their boxes share
+    meeting = np.array([[0, 0], [-1, -1], [3, -1], [3, 3], [1, 1], [0, 0]], dtype=float)
+    assert not polyline_is_simple(Polyline(meeting, closed=False))
+    # boxes [0, 1]^2 and [1, 2]^2 share the corner (1, 1), the segments nothing
+    missing = np.array([[0, 1], [1, 0], [3, 0], [3, 3], [2, 2], [1, 1]], dtype=float)
+    assert polyline_is_simple(Polyline(missing, closed=False))
+
+
+def _folds_back(s, p, q) -> bool:
+    """Edges s-p and s-q overlap beyond s: parallel and on the same side."""
+    u = [a - b for a, b in zip(p, s)]
+    w = [a - b for a, b in zip(q, s)]
+    pairs = combinations(range(len(u)), 2)
+    parallel = all(u[a] * w[b] == u[b] * w[a] for a, b in pairs)
+    return parallel and sum(a * b for a, b in zip(u, w)) > 0
+
+
+def _simple_by_all_pairs(curve: Polyline) -> bool:
+    """Every edge pair, no box filter; edges that share a vertex index are
+    decided by the rational parallel-and-same-side test above."""
+    pts = curve.points
+    exact = [[Fraction(float(v)) for v in row] for row in pts]
+    k = len(pts)
+    edges = [(i, (i + 1) % k) for i in range(k if curve.closed else k - 1)]
+    for e, f in combinations(edges, 2):
+        shared = set(e) & set(f)
+        if not shared and _exact.segments_intersect(*pts[list(e)], *pts[list(f)]):
+            return False
+        for s in shared:
+            p, q = e[e[0] == s], f[f[0] == s]
+            if _folds_back(exact[s], exact[p], exact[q]):
+                return False
+    return True
+
+
+@st.composite
+def _grid_polylines(draw):
+    dim = draw(st.sampled_from([2, 3]))
+    k = draw(st.integers(2, 7))
+    closed = draw(st.booleans())
+    coords = st.lists(st.integers(0, 6), min_size=dim, max_size=dim)
+    pts = np.array(draw(st.lists(coords, min_size=k, max_size=k)), dtype=float) / 2.0
+    nxt = np.roll(pts, -1, axis=0)
+    steps = pts - nxt if closed else (pts - nxt)[:-1]
+    assume(np.all(np.any(steps != 0.0, axis=1)))
+    return Polyline(pts, closed=closed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_grid_polylines())
+def test_simplicity_matches_an_all_pairs_reference(curve):
+    assert polyline_is_simple(curve) == _simple_by_all_pairs(curve)
+
+
 def test_polyline_csv_lists_vertices_in_order(tmp_path):
     square = Polyline(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
     path = tmp_path / "curve.csv"
@@ -120,6 +202,15 @@ def test_order_refuses_ambiguous_samples():
 
     with pytest.raises(AmbiguousProjectionError):
         order_by_projection(Circle(1.0), PointCloud(np.array([[0.0, 0.0], [1.0, 0.0]])))
+
+
+def test_order_names_the_first_ambiguous_trefoil_sample():
+    t = Trefoil(1.0)
+    pts = sample(SamplerSpec(t, 12)).points
+    pts[2] = pts[5] = 0.0  # the origin is equidistant from three strands
+    message = r"^sample 2 at \(0\.0, 0\.0, 0\.0\): point is equidistant"
+    with pytest.raises(AmbiguousProjectionError, match=message):
+        order_by_projection(t, PointCloud(pts))
 
 
 # ---------------------------------------------------------------------------
