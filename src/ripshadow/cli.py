@@ -31,7 +31,6 @@ from .limits import (
     LimitReport,
     METRIC_CHOICES,
     OBJECT_CHOICES,
-    OutOfRegimeError,
     _metric_for,
     run_direct_system,
     run_inverse_system,
@@ -96,14 +95,6 @@ def _write_json(path: str, obj) -> None:
 def _points_csv(points: np.ndarray) -> str:
     dim = points.shape[1]
     lines = ["# " + ",".join(f"x{i}" for i in range(dim))]
-    for row in points:
-        lines.append(",".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def _curve_csv(points) -> str:
-    dim = len(points[0])
-    lines = [",".join(f"x{i}" for i in range(dim))]
     for row in points:
         lines.append(",".join(repr(float(v)) for v in row))
     return "\n".join(lines) + "\n"
@@ -458,7 +449,8 @@ def _field(obj: dict, name: str):
 
 
 def _run_plot_data(args, config: dict) -> int:
-    obj = _load_input(_read_json, _require(args, config, "report"))
+    report_path = _require(args, config, "report")
+    obj = _load_input(_read_json, report_path)
     out_dir = str(_cfg(args, config, "out_dir", "."))
     os.makedirs(out_dir, exist_ok=True)
     written = []
@@ -504,9 +496,14 @@ def _run_plot_data(args, config: dict) -> int:
             raise RuntimeError(
                 f"report has no curve (verdict {obj.get('verdict')!r}); nothing to plot"
             )
-        points = _field(curve, "points")
+        try:
+            points = PointCloud(_field(curve, "points")).points
+        except ValueError as exc:
+            raise RuntimeError(
+                f"malformed input file {report_path}: curve points: {exc}"
+            ) from exc
         target = os.path.join(out_dir, "curve.csv")
-        _write_text(target, _curve_csv(points))
+        _write_text(target, _points_csv(points))
         written.append(target)
     else:
         raise RuntimeError("report JSON has neither a 'towers' nor a 'curve' field")
@@ -662,9 +659,6 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OutOfRegimeError as exc:
-        print(f"out of regime: {exc}", file=sys.stderr)
-        return EXIT_OUT_OF_REGIME
     except (OracleBudgetError, AmbiguousProjectionError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -80,14 +80,6 @@ class Gf2Matrix:
     def ncols(self) -> int:
         return len(self.cols)
 
-    @classmethod
-    def identity(cls, n: int) -> "Gf2Matrix":
-        return cls(n, [1 << i for i in range(n)])
-
-    @classmethod
-    def zero(cls, rows: int, ncols: int) -> "Gf2Matrix":
-        return cls(rows, [0] * ncols)
-
     def matmul(self, other: "Gf2Matrix") -> "Gf2Matrix":
         """self @ other; other's columns are combined from self's columns."""
         if other.rows != self.ncols:
@@ -105,13 +97,6 @@ class Gf2Matrix:
 
     def rank(self) -> int:
         return len(_echelon_basis(self.cols))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Gf2Matrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -326,18 +311,6 @@ def homology_basis(complex_: SimplicialComplex, up_to: int) -> HomologyBasis:
 # induced maps
 
 
-@dataclass
-class InducedMap:
-    """Per-dimension homology matrices of a chain map."""
-
-    source: HomologyBasis
-    target: HomologyBasis
-    matrices: list[Gf2Matrix]
-
-    def rank(self, m: int) -> int:
-        return self.matrices[m].rank() if 0 <= m < len(self.matrices) else 0
-
-
 def _vertex_chain_columns(f: SimplicialMap, m: int) -> list[int]:
     """Chain map columns of a simplicial map: degenerate images drop to zero."""
     dst_index = {s: i for i, s in enumerate(f.target.simplices.get(m, []))}
@@ -402,21 +375,16 @@ def induced_from_chain_columns(
     return mats
 
 
-def induced_map(f: SimplicialMap, up_to: int) -> InducedMap:
-    src = homology_basis(f.source, up_to)
-    dst = homology_basis(f.target, up_to)
-    return induced_map_on_bases(f, src, dst)
-
-
 def induced_map_on_bases(
     f: SimplicialMap, src: HomologyBasis, dst: HomologyBasis
-) -> InducedMap:
+) -> list[Gf2Matrix]:
+    """Homology matrices of a simplicial map, one per dimension up to the
+    lower of the two bases' dimensions."""
     if src.complex is not f.source or dst.complex is not f.target:
         raise ValueError("bases do not belong to the map's complexes")
     up_to = min(src.up_to, dst.up_to)
     cols = {m: _vertex_chain_columns(f, m) for m in range(up_to + 1)}
-    mats = induced_from_chain_columns(cols, src, dst, up_to)
-    return InducedMap(src, dst, mats)
+    return induced_from_chain_columns(cols, src, dst, up_to)
 
 
 # ---------------------------------------------------------------------------
@@ -546,10 +514,10 @@ class HomologyTower:
             if f.source is not self.complexes[i] or f.target is not self.complexes[i + 1]:
                 raise ValueError(f"map {i} does not connect stages {i} -> {i + 1}")
         self.bases = [homology_basis(c, self.up_to) for c in self.complexes]
-        self.step_matrices = []
-        for i, f in enumerate(self.maps):
-            ind = induced_map_on_bases(f, self.bases[i], self.bases[i + 1])
-            self.step_matrices.append(ind.matrices)
+        self.step_matrices = [
+            induced_map_on_bases(f, self.bases[i], self.bases[i + 1])
+            for i, f in enumerate(self.maps)
+        ]
 
     def __len__(self) -> int:
         return len(self.complexes)

@@ -11,6 +11,8 @@ Two standing reductions, stated in every report's annotations: inverse
 systems run over one fixed sample dense enough for the finest scale (a
 cofinal choice, so all stages share vertices), and stabilization is
 judged by the composite-rank plateau rule rather than an actual limit.
+Stage noise comes from ``models.sample``: a paired noise grid draws each
+stage's cloud with the spec's seed at that stage's amplitude.
 """
 from __future__ import annotations
 
@@ -18,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .homology import (
     HomologyTower,
@@ -39,14 +40,12 @@ from .models import (
     Model,
     PointCloud,
     SamplerSpec,
-    _ball_offset,
-    _normal_basis,
     check_scale_conditions,
     epsilon_path_metric,
     euclidean_metric,
     sample,
 )
-from .rips import SimplicialComplex, SimplicialMap, build_rips, inclusion_map, maximal_cliques
+from .rips import SimplicialComplex, build_rips, inclusion_map, maximal_cliques
 from .shadow import ConvexCellSystem, build_nerve, nerve_coarsening_map
 
 CONSISTENT = "consistent"
@@ -55,10 +54,6 @@ OUT_OF_REGIME = "out-of-regime"
 
 METRIC_CHOICES = ("euclidean", "geodesic", "epsilon-path")
 OBJECT_CHOICES = ("rips", "shadow-nerve")
-
-
-class OutOfRegimeError(RuntimeError):
-    """A construction left the regime where its guarantees apply."""
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +179,8 @@ class InverseSystemSpec:
     ``taus`` optionally pairs a noise amplitude with every scale; the pairs
     must be jointly ordered (both grids nonincreasing, and each beta step
     at least twice the matching tau step) so that the stage inclusions stay
-    simplicial.  Stage noise reuses one offset draw, scaled per stage.
+    simplicial.  Every stage draws its cloud with the same seed, so the
+    stages share arc positions and noise directions.
     """
 
     model: Model
@@ -408,28 +404,13 @@ def run_direct_system(spec: DirectSystemSpec) -> LimitReport:
 
 
 def _stage_clouds(spec: InverseSystemSpec, n: int) -> list[PointCloud]:
-    """One cloud per stage; a single shared cloud unless noise is paired."""
+    """One cloud per stage, finest first, each drawn by ``sample`` at its
+    stage's noise; stages with equal noise share one cloud object."""
     taus = spec.stage_taus()
-    if spec.taus is None:
-        cloud = sample(SamplerSpec(spec.model, n, spec.tau, spec.seed, spec.scheme))
-        return [cloud] * len(spec.betas)
-    model = spec.model
-    if taus[0] > 0 and taus[0] >= model.tube_radius:
-        raise ValueError("largest stage noise reaches the model tube radius")
-    rng = np.random.default_rng(spec.seed)
-    if spec.scheme == "stratified":
-        params = np.arange(n) * (model.length / n)
-    elif spec.scheme == "uniform-arc":
-        params = rng.uniform(0.0, model.length, size=n)
-    else:
-        raise ValueError(f"unknown scheme {spec.scheme!r}")
-    base = np.stack([model.point_at(t) for t in params])
-    dirs = np.zeros_like(base)
-    for i, t in enumerate(params):
-        basis = _normal_basis(model.tangent_at(t))
-        dirs[i] = _ball_offset(rng, basis.shape[0], 1.0) @ basis
-    # internal stage order is finest first, the reverse of the input grid
-    return [PointCloud(base + t * dirs) for t in reversed(taus)]
+    clouds = {
+        t: sample(SamplerSpec(spec.model, n, t, spec.seed, spec.scheme)) for t in set(taus)
+    }
+    return [clouds[t] for t in reversed(taus)]
 
 
 def run_inverse_system(spec: InverseSystemSpec) -> LimitReport:
@@ -719,7 +700,7 @@ def run_projection_check(
     complex_ranks = [base_src.rank(m) for m in range(dim + 1)]
     nerve_ranks = [base_nerve.rank(m) for m in range(dim + 1)]
     composite_ranks = [
-        carrier_ind.matrices[m].matmul(sub_mats[m]).rank() for m in range(dim + 1)
+        carrier_ind[m].matmul(sub_mats[m]).rank() for m in range(dim + 1)
     ]
     sd_betti = betti(sd, dim)
     src_betti = betti(complex_, dim)
@@ -750,33 +731,3 @@ def run_projection_check(
         return report
     report.verdict = CONSISTENT
     return report
-
-
-# ---------------------------------------------------------------------------
-# vertex-level coarsening of a reference complex into a sample complex
-
-
-def vertex_level_f_map(
-    ref_complex: SimplicialComplex,
-    ref_cloud: PointCloud,
-    target_complex: SimplicialComplex,
-    target_cloud: PointCloud,
-) -> SimplicialMap:
-    """Send each reference vertex to its nearest sample point.
-
-    Ties break to the lowest sample index.  Simpliciality is checked
-    simplex by simplex so an out-of-regime scale pairing is reported with
-    the offending simplex instead of a bare failure.
-    """
-    if ref_complex.n != ref_cloud.n or target_complex.n != target_cloud.n:
-        raise ValueError("complex and cloud disagree on vertex count")
-    d = cdist(ref_cloud.points, target_cloud.points)
-    assignment = tuple(int(j) for j in d.argmin(axis=1))
-    for s in ref_complex.all_simplices():
-        img = tuple(sorted(set(assignment[v] for v in s)))
-        if not target_complex.has_simplex(img):
-            raise OutOfRegimeError(
-                f"image {img} of simplex {s} is not in the target complex; "
-                "the scale pairing is out of regime"
-            )
-    return SimplicialMap(ref_complex, target_complex, assignment)

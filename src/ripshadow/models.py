@@ -147,14 +147,6 @@ def epsilon_path_metric(cloud: PointCloud, eps: float) -> MetricMatrix:
     return MetricMatrix(d)
 
 
-def hausdorff_distance(a: PointCloud, b: PointCloud) -> float:
-    """Exact Hausdorff distance between two finite point sets."""
-    if a.n == 0 or b.n == 0:
-        raise ValueError("hausdorff distance needs nonempty clouds")
-    d = cdist(a.points, b.points)
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
-
-
 # ---------------------------------------------------------------------------
 # models
 
@@ -224,12 +216,34 @@ class Model:
     def homotopy_radius(self) -> float:
         raise NotImplementedError
 
-    @property
-    def max_chord_bound(self) -> float:
+    def _pair_samples(self) -> tuple[np.ndarray, np.ndarray]:
+        """Arc parameters and points of the distortion table."""
         raise NotImplementedError
 
+    @cached_property
+    def _pair_tables(self):
+        params, pts = self._pair_samples()
+        geo = self.geodesic_param_distance(params[:, None], params[None, :])
+        return cdist(pts, pts), np.asarray(geo)
+
+    @property
+    def max_chord_bound(self) -> float:
+        chord, _ = self._pair_tables
+        return float(chord.max()) * 0.999
+
     def distortion(self, chord_bound: float) -> float:
-        raise NotImplementedError
+        """Largest geodesic/chord ratio of the table's pairs under the bound,
+        with a 1.02 margin; infinite when such a pair is disconnected."""
+        if not 0.0 < chord_bound <= self.max_chord_bound:
+            raise ValueError(f"chord bound out of range (0, {self.max_chord_bound}]")
+        chord, geo = self._pair_tables
+        mask = (chord > 1e-12 * max(1.0, self.length)) & (chord < chord_bound)
+        if not np.any(mask):
+            return 1.0
+        vals = geo[mask] / chord[mask]
+        if not np.all(np.isfinite(vals)):
+            return math.inf
+        return float(np.max(vals)) * 1.02
 
     def projection_displacement(self, t: float) -> float:
         return float(t)
@@ -525,14 +539,9 @@ class Trefoil(Model):
         den = np.linalg.norm(d1, axis=-1) ** 3
         return float(np.max(num / den)) * 1.02
 
-    @cached_property
-    def _pair_tables(self):
+    def _pair_samples(self):
         u = np.linspace(0.0, 2.0 * math.pi, self._PAIRS, endpoint=False)
-        pts = _trefoil_point(u, self.scale)
-        arcs = self._arc_of_param(u)
-        chord = cdist(pts, pts)
-        geo = self.geodesic_param_distance(arcs[:, None], arcs[None, :])
-        return chord, np.asarray(geo)
+        return self._arc_of_param(u), _trefoil_point(u, self.scale)
 
     @cached_property
     def _clearance_numbers(self):
@@ -587,20 +596,6 @@ class Trefoil(Model):
     def tube_radius(self) -> float:
         sep = self._clearance_numbers[1]
         return min(sep / 2.0, 1.0 / self._curvature_max) * 0.95
-
-    @property
-    def max_chord_bound(self) -> float:
-        chord, _ = self._pair_tables
-        return float(chord.max()) * 0.999
-
-    def distortion(self, chord_bound: float) -> float:
-        if not 0.0 < chord_bound <= self.max_chord_bound:
-            raise ValueError(f"chord bound out of range (0, {self.max_chord_bound}]")
-        chord, geo = self._pair_tables
-        mask = (chord > 1e-12 * self.scale) & (chord < chord_bound)
-        if not np.any(mask):
-            return 1.0
-        return float(np.max(geo[mask] / chord[mask])) * 1.02
 
     def constants_provenance(self) -> dict:
         return {
@@ -790,36 +785,13 @@ class EmbeddedGraph(Model):
     def tube_radius(self) -> float:
         return self.normal_clearance / 2.0 * 0.95
 
-    @cached_property
-    def _pair_tables(self):
-        target = max(4, int(round(600 / max(1, len(self.edges)))))
+    def _pair_samples(self):
         params = []
         for k in range(len(self.edges)):
             m = max(2, int(round(self._elens[k] / self.length * 600)))
-            offs = np.linspace(0.0, self._elens[k], m)
-            params.append(self._starts[k] + offs)
+            params.append(self._starts[k] + np.linspace(0.0, self._elens[k], m))
         params = np.concatenate(params) % self.length
-        pts = np.stack([self.point_at(t) for t in params])
-        chord = cdist(pts, pts)
-        geo = self.geodesic_param_distance(params[:, None], params[None, :])
-        return chord, np.asarray(geo)
-
-    @property
-    def max_chord_bound(self) -> float:
-        chord, _ = self._pair_tables
-        return float(chord.max()) * 0.999
-
-    def distortion(self, chord_bound: float) -> float:
-        if not 0.0 < chord_bound <= self.max_chord_bound:
-            raise ValueError(f"chord bound out of range (0, {self.max_chord_bound}]")
-        chord, geo = self._pair_tables
-        mask = (chord > 1e-12 * max(1.0, self.length)) & (chord < chord_bound)
-        if not np.any(mask):
-            return 1.0
-        vals = geo[mask] / chord[mask]
-        if not np.all(np.isfinite(vals)):
-            return math.inf
-        return float(np.max(vals)) * 1.02
+        return params, np.stack([self.point_at(t) for t in params])
 
     def constants_provenance(self) -> dict:
         return {
@@ -1004,16 +976,8 @@ class ConditionReport:
     zeta: float | None
     conditions: list[Condition] = field(default_factory=list)
 
-    def condition(self, name: str) -> Condition:
-        for c in self.conditions:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-    def all_hold(self, names=None) -> bool:
-        if names is None:
-            return all(c.holds for c in self.conditions)
-        return all(self.condition(name).holds for name in names)
+    def all_hold(self) -> bool:
+        return all(c.holds for c in self.conditions)
 
     def failing(self) -> list[str]:
         return [c.name for c in self.conditions if not c.holds]

@@ -31,8 +31,6 @@ from .shadow import _box_overlap_pairs
 OK = "ok"
 OUT_OF_REGIME = "out-of-regime"
 
-_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-
 
 @dataclass(frozen=True)
 class Polyline:
@@ -156,21 +154,16 @@ def polyline_is_simple(curve: Polyline) -> bool:
     m = len(edges)
     for i, j in _box_overlap_pairs(*_edge_boxes(curve.points, curve.closed)):
         (a0, a1), (b0, b1) = edges[i], edges[j]
-        meets_at_a1 = j == i + 1  # shared vertex a1 == b0
-        meets_at_a0 = curve.closed and i == 0 and j == m - 1  # a0 == b1
-        if meets_at_a1 or meets_at_a0:
-            # consecutive edges meet at one vertex; any further contact
+        if j == i + 1:
+            # consecutive edges meet at a1 == b0; any further contact
             # means a fold-back along the shared line
-            if meets_at_a1 and (
-                _exact.point_on_segment(a0, b0, b1)
-                or _exact.point_on_segment(b1, a0, a1)
-            ):
+            if _exact.point_on_segment(a0, b0, b1) or _exact.point_on_segment(b1, a0, a1):
                 return False
-            if meets_at_a0 and (
-                _exact.point_on_segment(a1, b0, b1)
-                or _exact.point_on_segment(b0, a0, a1)
-            ):
-                return False
+            continue
+        if curve.closed and i == 0 and j == m - 1:
+            # the closing edge meets edge 0 at v0; a fold-back there puts b0
+            # on edge 0 or a1 on the closing edge, which the pairs with edge
+            # m - 2 or edge 1 decide (for m <= 3 these pairs are consecutive)
             continue
         if _exact.segments_intersect(a0, a1, b0, b1):
             return False
@@ -301,87 +294,3 @@ def build_curve_K(
         params=list(params),
         verdict=OK,
     )
-
-
-# ---------------------------------------------------------------------------
-# hull projections stay on the spanned arc
-
-
-@dataclass(frozen=True)
-class LemmaCheck:
-    ok: bool
-    witness: tuple[float, ...] | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def _halton(index: int, base: int) -> float:
-    f, r = 1.0, 0.0
-    i = index
-    while i > 0:
-        f /= base
-        r += f * (i % base)
-        i //= base
-    return r
-
-
-def _minimal_arc(model: Model, params: np.ndarray):
-    """Start and span of the shortest closed arc containing every parameter."""
-    ps = np.sort(np.asarray(params, dtype=float) % model.length)
-    if ps.size == 1:
-        return float(ps[0]), 0.0
-    gaps = np.diff(np.concatenate([ps, [ps[0] + model.length]]))
-    widest = int(np.argmax(gaps))
-    start = float(ps[(widest + 1) % ps.size])
-    span = float(model.length - gaps[widest])
-    return start, span
-
-
-def check_intermediate_lemma(
-    model: Model, points, beta: float, samples: int = 10_000
-) -> LemmaCheck:
-    """Projections of hull points stay on the arc spanned by the inputs.
-
-    The hull is swept by a deterministic low-discrepancy schedule of
-    barycentric weights (sorted-difference construction), at least
-    ``samples`` points.  The first projection leaving the spanned arc is
-    returned as the witness.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
-    k = pts.shape[0]
-    if k > len(_PRIMES) + 1:
-        raise ValueError("too many hull vertices for the sweep schedule")
-    if 3.0 * beta >= model.normal_clearance:
-        raise ValueError(
-            f"3*beta = {3.0 * beta} reaches the normal clearance "
-            f"{model.normal_clearance}; the lemma regime needs it below"
-        )
-    projs = [model.project(p) for p in pts]
-    tol = 1e-9 * max(1.0, model.length)
-    for p, pr in zip(pts, projs):
-        if pr.distance > 1e-6 * max(1.0, model.length):
-            raise ValueError(
-                f"input point {tuple(float(v) for v in p)} does not lie on the model"
-            )
-    params = np.array([pr.param for pr in projs])
-    for i in range(k):
-        for j in range(i + 1, k):
-            if model.geodesic_param_distance(params[i], params[j]) >= beta:
-                raise ValueError(
-                    f"inputs {i} and {j} are at least beta apart along the model"
-                )
-    if k == 1:
-        return LemmaCheck(True)
-    start, span = _minimal_arc(model, params)
-    for idx in range(1, samples + 1):
-        cuts = sorted(_halton(idx, _PRIMES[c]) for c in range(k - 1))
-        weights = np.diff(np.concatenate([[0.0], cuts, [1.0]]))
-        x = weights @ pts
-        q = model.project(x).param
-        offset = (q - start) % model.length
-        if offset > span + tol and model.length - offset > tol:
-            return LemmaCheck(False, witness=tuple(float(v) for v in x))
-    return LemmaCheck(True)

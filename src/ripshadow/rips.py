@@ -69,9 +69,6 @@ class SimplicialComplex:
         dims = [d for d, g in self.simplices.items() if g]
         return max(dims) if dims else -1
 
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** d * len(g) for d, g in self.simplices.items())
-
     def all_simplices(self):
         for d in sorted(self.simplices):
             yield from self.simplices[d]
@@ -129,9 +126,6 @@ class CliqueList:
 
     def __len__(self) -> int:
         return len(self.cliques)
-
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "cliques": [list(c) for c in self.cliques]}
 
 
 @dataclass

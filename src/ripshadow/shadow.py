@@ -100,22 +100,6 @@ class NerveComplex:
         return out
 
 
-@dataclass(frozen=True)
-class BarycentricPoint:
-    """A point of a simplex given by nonnegative weights summing to one."""
-
-    carrier: tuple[int, ...]
-    weights: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.carrier) != len(self.weights):
-            raise ValueError("carrier and weights must have equal length")
-        if any(w < 0 for w in self.weights):
-            raise ValueError("weights must be nonnegative")
-        if abs(sum(self.weights) - 1.0) > 1e-12:
-            raise ValueError("weights must sum to one")
-
-
 def hulls_intersect(system: ConvexCellSystem, ids) -> bool:
     """Do the convex hulls of the named cells share a common point?
 
@@ -237,26 +221,6 @@ def nerve_coarsening_map(
             )
         assignment.append(j)
     return SimplicialMap(fine_nerve.complex, coarse_nerve.complex, tuple(assignment))
-
-
-def shadow_contains(system: ConvexCellSystem, x) -> bool:
-    """Exact membership of a point in the union of the cell hulls."""
-    x = np.asarray(x, dtype=float)
-    los, his = system.boxes
-    outside = np.any(x < los, axis=1) | np.any(x > his, axis=1)
-    return any(
-        _exact.point_in_hull(x, system.cell_points(i)) for i in np.flatnonzero(~outside)
-    )
-
-
-def project_point(
-    complex_: SimplicialComplex, coords: PointCloud, point: BarycentricPoint
-) -> np.ndarray:
-    """Evaluate the linear extension of the vertex embedding at a point."""
-    if not complex_.has_simplex(point.carrier):
-        raise ValueError(f"carrier {point.carrier} is not a simplex")
-    pts = coords.points[list(point.carrier)]
-    return np.asarray(point.weights, dtype=float) @ pts
 
 
 def _raster_once(system: ConvexCellSystem, resolution: int) -> tuple[int, int]:

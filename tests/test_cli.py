@@ -45,6 +45,9 @@ def test_malformed_input_files_exit_one(tmp_path, capsys):
     report = tmp_path / "report.json"
     report.write_text("{not json")
     assert main(["plot-data", "--report", str(report), "--out-dir", str(tmp_path)]) == 1
+    report.write_text(json.dumps({"curve": {"points": [[0.0, 1.0], [2.0]]}}))
+    assert main(["plot-data", "--report", str(report), "--out-dir", str(tmp_path)]) == 1
+    assert not (tmp_path / "curve.csv").exists()
     assert "malformed input file" in capsys.readouterr().err
     assert not out.exists()
 
@@ -143,8 +146,14 @@ def test_plot_data_from_tower_and_reconstruction(tmp_path):
     ) == 0
     assert main(["plot-data", "--report", str(rec), "--out-dir", str(plots)]) == 0
     curve_rows = (plots / "curve.csv").read_text().splitlines()
-    assert curve_rows[0] == "x0,x1"
+    assert curve_rows[0] == "# x0,x1"
     assert len(curve_rows) == 1 + 126
+    # the CLI reads back the curve file it wrote
+    readback = tmp_path / "curve-rips.json"
+    assert main(
+        ["rips", "--points", str(plots / "curve.csv"), "--beta", "0.2", "--cap", "1",
+         "--out", str(readback)]
+    ) == 0
 
 
 def test_plot_data_of_a_gated_report_keeps_the_header(tmp_path):

@@ -12,7 +12,7 @@ from ripshadow.cli import _write_json
 from ripshadow.limits import (
     DirectSystemSpec,
     InverseSystemSpec,
-    OutOfRegimeError,
+    _stage_clouds,
     default_sample_count,
     dense_arc_enumeration,
     measured_density,
@@ -21,17 +21,8 @@ from ripshadow.limits import (
     run_inverse_system,
     run_metric_comparability,
     run_projection_check,
-    vertex_level_f_map,
 )
-from ripshadow.models import (
-    Circle,
-    PointCloud,
-    SamplerSpec,
-    euclidean_metric,
-    sample,
-    theta_graph,
-)
-from ripshadow.rips import build_rips
+from ripshadow.models import Circle, SamplerSpec, sample, theta_graph
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +174,26 @@ def test_inverse_system_with_paired_noise_grid():
     assert taus == sorted(taus)  # finest stage carries the smallest noise
 
 
+def test_stage_clouds_are_drawn_by_the_sampler():
+    model = Circle(1.0)
+    betas = (0.14, 0.12, 0.10, 0.08)
+    taus = (0.02, 0.02, 0.015, 0.01)
+    for scheme in ("stratified", "uniform-arc"):
+        spec = InverseSystemSpec(model, betas, n=80, taus=taus, seed=5, scheme=scheme)
+        clouds = _stage_clouds(spec, 80)  # finest stage first
+        for cloud, tau in zip(clouds, reversed(taus)):
+            want = sample(SamplerSpec(model, 80, tau, 5, scheme)).points
+            assert cloud.points.tobytes() == want.tobytes()
+        assert clouds[2] is clouds[3]
+        assert len({id(c) for c in clouds}) == 3
+        unpaired = InverseSystemSpec(model, betas, tau=0.02, seed=5, scheme=scheme)
+        shared = _stage_clouds(unpaired, 80)
+        assert all(c is shared[0] for c in shared)
+    at_tube = InverseSystemSpec(model, (3.0, 2.5), taus=(model.tube_radius,) * 2)
+    with pytest.raises(ValueError):
+        _stage_clouds(at_tube, 20)
+
+
 def test_inverse_system_gates_and_suppresses_towers():
     spec = InverseSystemSpec(Circle(1.0), (0.7, 0.6, 0.5, 0.4), seed=7)
     report = run_inverse_system(spec)
@@ -247,34 +258,3 @@ def test_projection_check_gates_out_of_regime():
     report = run_projection_check(Circle(1.0), 1.2, n=60, seed=0)
     assert report.verdict == "out-of-regime"
     assert report.towers == {}
-
-
-# ---------------------------------------------------------------------------
-# vertex-level comparison map
-
-
-def test_vertex_map_on_identical_clouds_is_identity():
-    cloud = sample(SamplerSpec(Circle(1.0), 30, seed=3))
-    complex_ = build_rips(euclidean_metric(cloud), 0.5, cap=2)
-    f = vertex_level_f_map(complex_, cloud, complex_, cloud)
-    assert list(f.vertex_map) == list(range(30))
-
-
-def test_vertex_map_to_a_sparser_sample_stays_simplicial():
-    dense = sample(SamplerSpec(Circle(1.0), 120, seed=0))
-    sparse = sample(SamplerSpec(Circle(1.0), 30, seed=0))
-    fine = build_rips(euclidean_metric(dense), 0.3, cap=2)
-    coarse = build_rips(euclidean_metric(sparse), 0.6, cap=2)
-    f = vertex_level_f_map(fine, dense, coarse, sparse)
-    from ripshadow.homology import induced_map
-
-    assert induced_map(f, 1).rank(1) == 1
-
-
-def test_vertex_map_flags_scale_mismatch():
-    ref = sample(SamplerSpec(Circle(1.0), 40, seed=0))
-    fine = build_rips(euclidean_metric(ref), 0.4, cap=2)
-    tgt = PointCloud(np.array([[1.0, 0.0], [-0.5, 0.87], [-0.5, -0.87]]))
-    coarse = build_rips(euclidean_metric(tgt), 0.3, cap=2)
-    with pytest.raises(OutOfRegimeError):
-        vertex_level_f_map(fine, ref, coarse, tgt)

@@ -21,7 +21,6 @@ from ripshadow.models import (
     check_scale_conditions,
     epsilon_path_metric,
     euclidean_metric,
-    hausdorff_distance,
     load_model,
     model_from_json,
     sample,
@@ -85,12 +84,6 @@ def test_path_metric_marks_disconnected_pairs_infinite():
     cloud = PointCloud(np.array([[0.0, 0.0], [10.0, 0.0]]))
     met = epsilon_path_metric(cloud, 1.0)
     assert np.isinf(met.d[0, 1])
-
-
-def test_hausdorff_distance_on_interval_endpoints():
-    a = PointCloud(np.array([[0.0], [1.0]]))
-    b = PointCloud(np.array([[0.0], [2.0]]))
-    assert hausdorff_distance(a, b) == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------

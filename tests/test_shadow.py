@@ -1,4 +1,4 @@
-"""Hull covers, their nerves, point membership, and the raster cross-check."""
+"""Hull covers, their nerves, exact hull membership, and the raster cross-check."""
 
 from __future__ import annotations
 
@@ -9,20 +9,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ripshadow import _exact
 from ripshadow.homology import betti
 from ripshadow.models import Circle, PointCloud, SamplerSpec, euclidean_metric, sample, theta_graph
 from ripshadow.oracle import brute_hull_intersection, brute_nerve
 from ripshadow.rips import CliqueList, maximal_cliques
 from ripshadow.shadow import (
-    BarycentricPoint,
     ConvexCellSystem,
     _box_overlap_pairs,
     build_nerve,
     hulls_intersect,
     nerve_coarsening_map,
-    project_point,
     raster_betti_2d,
-    shadow_contains,
 )
 
 
@@ -95,29 +93,10 @@ def test_nerve_against_grid_witness_on_random_cells():
 
 
 def test_shadow_membership_on_a_square_cell():
-    sys_ = _system([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]], [(0, 1, 2, 3)])
-    assert shadow_contains(sys_, [0.5, 0.5])
-    assert shadow_contains(sys_, [1.0, 1.0])
-    assert not shadow_contains(sys_, [1.0 + 1e-9, 1.0])
-
-
-def test_project_point_evaluates_linear_extension():
-    sys_ = _circle_system(12, 0.7)
-    nerve = build_nerve(sys_, cap=2)
-    edge = nerve.complex.simplices[1][0]
-    mid = project_point(nerve.complex, sys_.coords, BarycentricPoint(edge, (0.5, 0.5)))
-    # nerve vertices stand for cells; the evaluation uses the vertex cloud rows
-    expect = 0.5 * (sys_.coords.points[edge[0]] + sys_.coords.points[edge[1]])
-    assert np.allclose(mid, expect)
-
-
-def test_barycentric_point_validation():
-    with pytest.raises(ValueError):
-        BarycentricPoint((0, 1), (0.7, 0.7))
-    with pytest.raises(ValueError):
-        BarycentricPoint((0, 1), (-0.1, 1.1))
-    with pytest.raises(ValueError):
-        BarycentricPoint((0,), (0.5, 0.5))
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    assert _exact.point_in_hull([0.5, 0.5], square)
+    assert _exact.point_in_hull([1.0, 1.0], square)
+    assert not _exact.point_in_hull([1.0 + 1e-9, 1.0], square)
 
 
 def test_circle_nerve_carries_the_loop():
