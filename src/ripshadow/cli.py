@@ -218,16 +218,18 @@ def _finish_report(report: LimitReport, args, config: dict) -> int:
 # subcommands
 
 
-def _run_sample(args, config: dict) -> int:
-    model = _resolve_model(args, config)
-    spec = SamplerSpec(
+def _sampler_spec(args, config: dict, model) -> SamplerSpec:
+    return SamplerSpec(
         model,
         _require_int(args, config, "n"),
         tau=float(_cfg(args, config, "tau", 0.0)),
         seed=int(_cfg(args, config, "seed", 0)),
         scheme=str(_cfg(args, config, "scheme", "stratified")),
     )
-    cloud = sample(spec)
+
+
+def _run_sample(args, config: dict) -> int:
+    cloud = sample(_sampler_spec(args, config, _resolve_model(args, config)))
     out = _require(args, config, "out")
     _write_text(out, _points_csv(cloud.points))
     print(f"wrote {cloud.n} points in R^{cloud.dim} to {out}")
@@ -296,7 +298,18 @@ def _run_tower(args, config: dict) -> int:
     metric = str(_cfg(args, config, "metric", "euclidean"))
     eps = _cfg(args, config, "eps")
     eps = None if eps is None else float(eps)
+    tau = float(_cfg(args, config, "tau", 0.0))
+    object_kind = str(_cfg(args, config, "object", "rips"))
+    tau_grid = _number_list(_cfg(args, config, "tau_grid"), "--tau-grid", float)
     if n_sequence is not None:
+        # a direct system samples without noise and builds rips complexes
+        for flag, given in (
+            ("--object shadow-nerve", object_kind == "shadow-nerve"),
+            ("--tau-grid", tau_grid is not None),
+            ("--tau", tau > 0),
+        ):
+            if given:
+                raise UsageError(f"{flag} does not apply to a direct system (--n-sequence)")
         spec = DirectSystemSpec(
             model,
             _require_float(args, config, "beta"),
@@ -312,15 +325,15 @@ def _run_tower(args, config: dict) -> int:
         spec = InverseSystemSpec(
             model,
             beta_grid,
-            tau=float(_cfg(args, config, "tau", 0.0)),
-            object_kind=str(_cfg(args, config, "object", "rips")),
+            tau=tau,
+            object_kind=object_kind,
             metric=metric,
             eps=eps,
             dim=dim,
             seed=seed,
             n=None if n is None else int(n),
             scheme=str(_cfg(args, config, "scheme", "stratified")),
-            taus=_number_list(_cfg(args, config, "tau_grid"), "--tau-grid", float),
+            taus=tau_grid,
         )
         report = run_inverse_system(spec)
     return _finish_report(report, args, config)
@@ -359,20 +372,13 @@ def _run_project_check(args, config: dict) -> int:
 
 def _run_reconstruct(args, config: dict) -> int:
     model = _resolve_model(args, config)
-    tau = float(_cfg(args, config, "tau", 0.0))
     zeta = _cfg(args, config, "zeta")
-    spec = SamplerSpec(
-        model,
-        _require_int(args, config, "n"),
-        tau=tau,
-        seed=int(_cfg(args, config, "seed", 0)),
-        scheme=str(_cfg(args, config, "scheme", "stratified")),
-    )
+    spec = _sampler_spec(args, config, model)
     result = build_curve_K(
         model,
         sample(spec),
         _require_float(args, config, "beta"),
-        tau,
+        spec.tau,
         zeta=None if zeta is None else float(zeta),
     )
     out = _cfg(args, config, "out")

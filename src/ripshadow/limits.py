@@ -115,6 +115,31 @@ def default_sample_count(model: Model, beta_min: float) -> int:
     return int(math.ceil(2.2 * model.length / beta_min))
 
 
+def _sample_stages(
+    model: Model, n: int, seed: int, scheme: str, betas_fine_first, taus_fine_first
+) -> tuple[list[PointCloud], list[dict], list[ConditionReport]]:
+    """Sample every stage and check its scale hypotheses, finest first.
+
+    Each distinct noise amplitude is drawn once by ``sample`` and its
+    density measured once, so stages with equal noise share one cloud
+    object.  Returns the clouds, the stage rows and the condition reports.
+    """
+    drawn = {}
+    for tau in taus_fine_first:
+        if tau not in drawn:
+            cloud = sample(SamplerSpec(model, n, tau, seed, scheme))
+            drawn[tau] = cloud, measured_density(model, projection_parameters(model, cloud))
+    clouds, stages, reports = [], [], []
+    for i, (beta, tau) in enumerate(zip(betas_fine_first, taus_fine_first)):
+        cloud, zeta = drawn[tau]
+        clouds.append(cloud)
+        stages.append(
+            {"stage": i, "beta": float(beta), "tau": float(tau), "n": n, "density": float(zeta)}
+        )
+        reports.append(check_scale_conditions(model, beta, tau, zeta=zeta))
+    return clouds, stages, reports
+
+
 def _metric_for(cloud: PointCloud, choice: str, eps: float | None, model: Model):
     if choice == "euclidean":
         return euclidean_metric(cloud)
@@ -298,12 +323,16 @@ class LimitReport:
         }
 
 
-def _failed_hypotheses(reports: list[ConditionReport]) -> list[str]:
-    notes = []
-    for rep in reports:
-        for name in rep.failing():
-            notes.append(f"beta={rep.beta:g}: hypothesis {name} fails")
-    return notes
+def _out_of_regime(report: LimitReport) -> bool:
+    """Annotate every failed hypothesis of the report; true when one fails,
+    and the caller then returns the report with its towers suppressed."""
+    notes = [
+        f"beta={rep.beta:g}: hypothesis {name} fails"
+        for rep in report.conditions
+        for name in rep.failing()
+    ]
+    report.annotations.extend(notes)
+    return bool(notes)
 
 
 def _model_betti(model: Model) -> list[int]:
@@ -364,7 +393,6 @@ def run_direct_system(spec: DirectSystemSpec) -> LimitReport:
     complex over the full dense enumeration.
     """
     model = spec.model
-    conds = check_scale_conditions(model, spec.beta)
     stages = [
         {"stage": i, "beta": float(spec.beta), "tau": 0.0, "n": int(n)}
         for i, n in enumerate(spec.sizes)
@@ -375,15 +403,13 @@ def run_direct_system(spec: DirectSystemSpec) -> LimitReport:
         dim=spec.dim,
         model_betti=_model_betti(model),
         stages=stages,
-        conditions=[conds],
+        conditions=[check_scale_conditions(model, spec.beta)],
         annotations=[
             "comparison target is the top-stage homology, standing in for "
             "the complex over the full dense enumeration",
         ],
     )
-    failed = _failed_hypotheses([conds])
-    if failed:
-        report.annotations.extend(failed)
+    if _out_of_regime(report):
         return report
 
     params = dense_arc_enumeration(model, spec.sizes[-1], spec.seed)
@@ -403,44 +429,14 @@ def run_direct_system(spec: DirectSystemSpec) -> LimitReport:
 # inverse systems
 
 
-def _stage_clouds(spec: InverseSystemSpec, n: int) -> list[PointCloud]:
-    """One cloud per stage, finest first, each drawn by ``sample`` at its
-    stage's noise; stages with equal noise share one cloud object."""
-    taus = spec.stage_taus()
-    clouds = {
-        t: sample(SamplerSpec(spec.model, n, t, spec.seed, spec.scheme)) for t in set(taus)
-    }
-    return [clouds[t] for t in reversed(taus)]
-
-
 def run_inverse_system(spec: InverseSystemSpec) -> LimitReport:
     """Tower over a shrinking scale grid, one fixed sample for all stages."""
     model = spec.model
     n = spec.n if spec.n is not None else default_sample_count(model, spec.betas[-1])
-    clouds = _stage_clouds(spec, n)  # finest stage first
     betas_fine_first = tuple(reversed(spec.betas))
-    taus_fine_first = tuple(reversed(spec.stage_taus()))
-
-    cond_reports: list[ConditionReport] = []
-    stages = []
-    zeta_cache: dict[int, float] = {}
-    for i, (beta, tau, cloud) in enumerate(
-        zip(betas_fine_first, taus_fine_first, clouds)
-    ):
-        key = id(cloud)
-        if key not in zeta_cache:
-            zeta_cache[key] = measured_density(model, projection_parameters(model, cloud))
-        zeta = zeta_cache[key]
-        cond_reports.append(check_scale_conditions(model, beta, tau, zeta=zeta))
-        stages.append(
-            {
-                "stage": i,
-                "beta": float(beta),
-                "tau": float(tau),
-                "n": n,
-                "density": float(zeta),
-            }
-        )
+    clouds, stages, cond_reports = _sample_stages(
+        model, n, spec.seed, spec.scheme, betas_fine_first, tuple(reversed(spec.stage_taus()))
+    )
 
     report = LimitReport(
         kind="inverse-limit",
@@ -457,9 +453,7 @@ def run_inverse_system(spec: InverseSystemSpec) -> LimitReport:
             "coarsest first",
         ],
     )
-    failed = _failed_hypotheses(cond_reports)
-    if failed:
-        report.annotations.extend(failed)
+    if _out_of_regime(report):
         return report
 
     cap = spec.dim + 1
@@ -536,32 +530,20 @@ def run_metric_comparability(
         "scheme": scheme,
     }
     count = n if n is not None else default_sample_count(model, betas[-1])
-    cloud = sample(SamplerSpec(model, count, tau, seed, scheme))
-    zeta = measured_density(model, projection_parameters(model, cloud))
     betas_fine_first = tuple(reversed(betas))
-
-    cond_reports = []
-    stages = []
-    for i, beta in enumerate(betas_fine_first):
-        rep = check_scale_conditions(model, beta, tau, zeta=zeta)
+    clouds, stages, cond_reports = _sample_stages(
+        model, count, seed, scheme, betas_fine_first, (tau,) * len(betas)
+    )
+    cloud = clouds[0]
+    for rep in cond_reports:
         rep.conditions.append(
             Condition(
                 "scales-below-cutoff",
-                beta,
+                rep.beta,
                 eps,
-                beta < eps,
+                rep.beta < eps,
                 "below the path cutoff the two strict complexes coincide",
             )
-        )
-        cond_reports.append(rep)
-        stages.append(
-            {
-                "stage": i,
-                "beta": float(beta),
-                "tau": float(tau),
-                "n": count,
-                "density": float(zeta),
-            }
         )
 
     report = LimitReport(
@@ -577,9 +559,7 @@ def run_metric_comparability(
             "inclusions on vertices",
         ],
     )
-    failed = _failed_hypotheses(cond_reports)
-    if failed:
-        report.annotations.extend(failed)
+    if _out_of_regime(report):
         return report
 
     met_e = euclidean_metric(cloud)
@@ -658,27 +638,21 @@ def run_projection_check(
         "seed": seed,
         "scheme": scheme,
     }
-    cloud = sample(SamplerSpec(model, count, 0.0, seed, scheme))
-    zeta = measured_density(model, projection_parameters(model, cloud))
-    conds = check_scale_conditions(model, beta, 0.0, zeta=zeta)
-    stages = [
-        {"stage": 0, "beta": float(beta), "tau": 0.0, "n": count, "density": float(zeta)}
-    ]
+    clouds, stages, cond_reports = _sample_stages(model, count, seed, scheme, (beta,), (0.0,))
+    cloud = clouds[0]
     report = LimitReport(
         kind="projection-check",
         spec=spec_echo,
         dim=dim,
         model_betti=_model_betti(model),
         stages=stages,
-        conditions=[conds],
+        conditions=cond_reports,
         annotations=[
             "homology map realized as subdivision followed by the carrier "
             "assignment into the nerve",
         ],
     )
-    failed = _failed_hypotheses([conds])
-    if failed:
-        report.annotations.extend(failed)
+    if _out_of_regime(report):
         return report
 
     cap = dim + 1

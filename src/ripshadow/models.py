@@ -11,15 +11,11 @@ the scale-condition checker:
 * ``homotopy_radius``    pointwise closeness under which two maps into the
                          model are homotopic,
 * ``distortion(c)``      bound on geodesic/Euclidean ratio for point pairs
-                         whose Euclidean distance is below ``c``,
-* ``projection_displacement(t)``  bound on how far projection moves a point
-                         of the radius-``t`` tube (``t`` itself, since the
-                         projection is nearest-point).
+                         whose Euclidean distance is below ``c``.
 
 For the circle all constants are closed form.  For the trefoil and for
 embedded graphs they are certified numerically from dense parameter
-tables and the certification method is recorded in the provenance of
-the returned record.
+tables.
 """
 from __future__ import annotations
 
@@ -245,12 +241,6 @@ class Model:
             return math.inf
         return float(np.max(vals)) * 1.02
 
-    def projection_displacement(self, t: float) -> float:
-        return float(t)
-
-    def constants_provenance(self) -> dict:
-        raise NotImplementedError
-
     def betti(self) -> tuple[int, int]:
         raise NotImplementedError
 
@@ -345,9 +335,6 @@ class Circle(Model):
             )
         ratio = chord_bound / (2.0 * self.radius)
         return 2.0 * self.radius * math.asin(ratio) / chord_bound
-
-    def constants_provenance(self) -> dict:
-        return {"method": "closed-form"}
 
     def betti(self) -> tuple[int, int]:
         return (1, 1)
@@ -597,15 +584,6 @@ class Trefoil(Model):
         sep = self._clearance_numbers[1]
         return min(sep / 2.0, 1.0 / self._curvature_max) * 0.95
 
-    def constants_provenance(self) -> dict:
-        return {
-            "method": "dense parameter tables",
-            "arc_table": self._TABLE,
-            "clearance_scan": "2048x4096 normal-plane crossings, margin 0.995",
-            "distortion_pairs": self._PAIRS,
-            "distortion_margin": 1.02,
-        }
-
     def betti(self) -> tuple[int, int]:
         return (1, 1)
 
@@ -792,14 +770,6 @@ class EmbeddedGraph(Model):
             params.append(self._starts[k] + np.linspace(0.0, self._elens[k], m))
         params = np.concatenate(params) % self.length
         return params, np.stack([self.point_at(t) for t in params])
-
-    def constants_provenance(self) -> dict:
-        return {
-            "method": "segment tables",
-            "clearance": "pairwise gap of non-adjacent segments, 33-point grids",
-            "homotopy_radius": "half girth",
-            "distortion_pairs": "~600 arc samples, margin 1.02",
-        }
 
     def betti(self) -> tuple[int, int]:
         v = self.vertices.shape[0]
@@ -992,29 +962,8 @@ class ConditionReport:
         }
 
 
-def _window_pair(model: Model, needed: float, chord_bound: float | None):
-    """Pick a chord window accommodating ``needed`` and its distortion bound.
-
-    The distortion constant is valid for every window below the model cap,
-    so when the caller does not pin one we take the smallest window that
-    works, which gives the least distortion.
-    """
-    if chord_bound is not None:
-        ok = needed < chord_bound <= model.max_chord_bound
-        xi = model.distortion(chord_bound) if ok else math.inf
-        return ok, chord_bound, xi
-    if needed >= model.max_chord_bound:
-        return False, model.max_chord_bound, math.inf
-    window = min(needed * 1.001, model.max_chord_bound)
-    return True, window, model.distortion(window)
-
-
 def check_scale_conditions(
-    model: Model,
-    beta: float,
-    tau: float = 0.0,
-    zeta: float | None = None,
-    chord_bound: float | None = None,
+    model: Model, beta: float, tau: float = 0.0, zeta: float | None = None
 ) -> ConditionReport:
     """Evaluate every named scale hypothesis at (beta, tau[, zeta]).
 
@@ -1024,7 +973,6 @@ def check_scale_conditions(
     if beta <= 0:
         raise ValueError("beta must be positive")
     report = ConditionReport(model.kind, float(beta), float(tau), zeta)
-    disp = model.projection_displacement
     conds = report.conditions
 
     conds.append(
@@ -1046,59 +994,35 @@ def check_scale_conditions(
         )
     )
 
-    # coarsening map between scales, noiseless samples
-    needed = 2.0 * beta + disp(beta)
-    ok, window, xi = _window_pair(model, needed, chord_bound)
-    conds.append(
-        Condition("coarsening-window", needed, window, ok, f"window={window!r}")
+    # Each map needs a chord window over its reach, and its homotopy bound
+    # is offset + distortion * span.  Nearest-point projection moves a point
+    # of the radius-t tube by at most t, whence the terms beta and
+    # beta + tau.  The maps: coarsening between scales of noiseless
+    # samples, the same of tube-noisy samples, and projection from the
+    # complex to its shadow.
+    maps = (
+        ("coarsening", 2.0 * beta + beta, 0.0, 2.0 * beta + beta),
+        ("noisy-coarsening", beta + beta + (beta + tau), 0.0, beta + beta),
+        ("projection", beta + beta, beta, beta + beta),
     )
-    conds.append(
-        Condition(
-            "coarsening-homotopy",
-            xi * needed if math.isfinite(xi) else math.inf,
-            model.homotopy_radius,
-            ok and xi * needed < model.homotopy_radius,
-            f"distortion={xi!r}",
+    cap = model.max_chord_bound
+    for name, needed, offset, span in maps:
+        # the distortion bound holds for every window under the model cap,
+        # so the smallest window that fits gives the least distortion
+        ok = needed < cap
+        window = min(needed * 1.001, cap)
+        xi = model.distortion(window) if ok else math.inf
+        conds.append(Condition(f"{name}-window", needed, window, ok, f"window={window!r}"))
+        lhs = offset + xi * span
+        conds.append(
+            Condition(
+                f"{name}-homotopy",
+                lhs,
+                model.homotopy_radius,
+                ok and lhs < model.homotopy_radius,
+                f"distortion={xi!r}",
+            )
         )
-    )
-
-    # coarsening map between scales, tube-noisy samples
-    needed_n = beta + disp(beta) + disp(beta + tau)
-    ok_n, window_n, xi_n = _window_pair(model, needed_n, chord_bound)
-    conds.append(
-        Condition(
-            "noisy-coarsening-window", needed_n, window_n, ok_n, f"window={window_n!r}"
-        )
-    )
-    lhs_n = xi_n * (beta + disp(beta)) if math.isfinite(xi_n) else math.inf
-    conds.append(
-        Condition(
-            "noisy-coarsening-homotopy",
-            lhs_n,
-            model.homotopy_radius,
-            ok_n and lhs_n < model.homotopy_radius,
-            f"distortion={xi_n!r}",
-        )
-    )
-
-    # projection from the complex to its shadow
-    needed_p = beta + disp(beta)
-    ok_p, window_p, xi_p = _window_pair(model, needed_p, chord_bound)
-    conds.append(
-        Condition(
-            "projection-window", needed_p, window_p, ok_p, f"window={window_p!r}"
-        )
-    )
-    lhs_p = beta + xi_p * (beta + disp(beta)) if math.isfinite(xi_p) else math.inf
-    conds.append(
-        Condition(
-            "projection-homotopy",
-            lhs_p,
-            model.homotopy_radius,
-            ok_p and lhs_p < model.homotopy_radius,
-            f"distortion={xi_p!r}",
-        )
-    )
 
     if zeta is not None:
         conds.append(

@@ -52,6 +52,25 @@ def test_malformed_input_files_exit_one(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_direct_tower_rejects_flags_it_would_ignore(tmp_path, capsys):
+    out = tmp_path / "run.json"
+    base = ["tower", "--model", "circle", "--n-sequence", "20,40,80", "--beta", "0.4",
+            "--out", str(out)]
+    for extra, flag in (
+        (["--object", "shadow-nerve"], "--object shadow-nerve"),
+        (["--tau-grid", "0.01,0"], "--tau-grid"),
+        (["--tau", "0.05"], "--tau"),
+    ):
+        assert main(base + extra) == 64
+        assert flag in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"object": "shadow-nerve"}))
+    assert main(base + ["--config", str(cfg)]) == 64
+    assert not out.exists()
+    # the values that change nothing are still accepted
+    assert main(base + ["--object", "rips", "--tau", "0"]) == 0
+
+
 def test_missing_subcommand_and_unknown_flag_are_usage_errors():
     assert main([]) == 64
     assert main(["tower", "--frobnicate"]) == 64

@@ -1,4 +1,5 @@
-"""Every module-level function and class of the package has a caller in it."""
+"""Every module-level function and class of the package, and every method of
+its classes, has a caller in it."""
 
 from __future__ import annotations
 
@@ -8,49 +9,79 @@ import os
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "ripshadow")
 
 # names kept although nothing in the package refers to them, with the reason;
-# "module.*" covers every name of a module
+# "module.*" covers every name of a module.  Dunder methods are kept too:
+# Python calls them.
 ALLOWED = {
     "cli.entry": "the console script named in pyproject.toml",
+    "cli._Parser.error": "argparse calls it on a bad flag",
     "oracle.*": "reference implementations that tests compare the fast paths against",
 }
 
+_FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_DEFS = (*_FUNCS, ast.ClassDef)
 
-def _names_used(node: ast.AST) -> set[str]:
-    """Identifiers read inside a node, as plain names or attributes."""
-    used = set()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            used.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
-            used.add(sub.attr)
-    return used
+
+def _uses(node: ast.AST, inside: frozenset, out: list) -> None:
+    """Append (identifier, ids of the enclosing definitions) for every plain
+    name or attribute read under ``node``."""
+    if isinstance(node, _DEFS):
+        inside = inside | {id(node)}
+    if isinstance(node, ast.Name):
+        out.append((node.id, inside))
+    elif isinstance(node, ast.Attribute):
+        out.append((node.attr, inside))
+    for child in ast.iter_child_nodes(node):
+        _uses(child, inside, out)
 
 
 def unreferenced_names() -> list[str]:
-    """``module.name`` of each module-level def or class that no code in the
-    package refers to, its own definition aside."""
-    defs = []  # (module, name, node)
-    uses = []  # (node, names it reads)
+    """``module.name`` of each module-level def or class, and
+    ``module.Class.method`` of each method, that no code in the package
+    refers to, its own definition aside."""
+    defs = []  # (qualified name, node)
+    uses = []  # (identifier, ids of the enclosing definitions)
     for fname in sorted(os.listdir(SRC)):
         if not fname.endswith(".py"):
             continue
         with open(os.path.join(SRC, fname)) as fh:
             tree = ast.parse(fh.read())
+        _uses(tree, frozenset(), uses)
+        module = fname[:-3]
         for node in tree.body:
-            uses.append((node, _names_used(node)))
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defs.append((fname[:-3], node.name, node))
+            if not isinstance(node, _DEFS):
+                continue
+            defs.append((f"{module}.{node.name}", node))
+            if isinstance(node, ast.ClassDef):
+                defs += [
+                    (f"{module}.{node.name}.{sub.name}", sub)
+                    for sub in node.body
+                    if isinstance(sub, _FUNCS)
+                    and not (sub.name.startswith("__") and sub.name.endswith("__"))
+                ]
+    readers: dict[str, list[frozenset]] = {}
+    for name, inside in uses:
+        readers.setdefault(name, []).append(inside)
     return [
-        f"{module}.{name}"
-        for module, name, node in defs
-        if not any(name in names for other, names in uses if other is not node)
+        qualified
+        for qualified, node in defs
+        if all(id(node) in inside for inside in readers.get(node.name, ()))
+    ]
+
+
+def _dead(depth: int) -> list[str]:
+    """Unreferenced names with ``depth`` dots that the allowlist does not keep."""
+    return [
+        name
+        for name in unreferenced_names()
+        if name.count(".") == depth
+        and name not in ALLOWED
+        and f"{name.split('.')[0]}.*" not in ALLOWED
     ]
 
 
 def test_every_module_level_name_has_a_caller():
-    dead = [
-        name
-        for name in unreferenced_names()
-        if name not in ALLOWED and f"{name.split('.')[0]}.*" not in ALLOWED
-    ]
-    assert dead == []
+    assert _dead(1) == []
+
+
+def test_every_method_has_a_caller():
+    assert _dead(2) == []

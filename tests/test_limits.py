@@ -8,11 +8,12 @@ import math
 import numpy as np
 import pytest
 
+import ripshadow.limits
 from ripshadow.cli import _write_json
 from ripshadow.limits import (
     DirectSystemSpec,
     InverseSystemSpec,
-    _stage_clouds,
+    _sample_stages,
     default_sample_count,
     dense_arc_enumeration,
     measured_density,
@@ -174,24 +175,32 @@ def test_inverse_system_with_paired_noise_grid():
     assert taus == sorted(taus)  # finest stage carries the smallest noise
 
 
-def test_stage_clouds_are_drawn_by_the_sampler():
+def test_stage_clouds_are_drawn_by_the_sampler(monkeypatch):
     model = Circle(1.0)
-    betas = (0.14, 0.12, 0.10, 0.08)
-    taus = (0.02, 0.02, 0.015, 0.01)
+    betas = (0.08, 0.10, 0.12, 0.14)  # finest stage first
+    taus = (0.01, 0.015, 0.02, 0.02)
+    calls = []
+
+    def counted(model, params):
+        calls.append(len(params))
+        return measured_density(model, params)
+
+    monkeypatch.setattr(ripshadow.limits, "measured_density", counted)
     for scheme in ("stratified", "uniform-arc"):
-        spec = InverseSystemSpec(model, betas, n=80, taus=taus, seed=5, scheme=scheme)
-        clouds = _stage_clouds(spec, 80)  # finest stage first
-        for cloud, tau in zip(clouds, reversed(taus)):
+        calls.clear()
+        clouds, stages, _ = _sample_stages(model, 80, 5, scheme, betas, taus)
+        for cloud, tau in zip(clouds, taus):
             want = sample(SamplerSpec(model, 80, tau, 5, scheme)).points
             assert cloud.points.tobytes() == want.tobytes()
         assert clouds[2] is clouds[3]
         assert len({id(c) for c in clouds}) == 3
-        unpaired = InverseSystemSpec(model, betas, tau=0.02, seed=5, scheme=scheme)
-        shared = _stage_clouds(unpaired, 80)
+        # one density per distinct noise, shared by the stages that carry it
+        assert calls == [80] * 3
+        assert stages[2]["density"] == stages[3]["density"]
+        shared, _, _ = _sample_stages(model, 80, 5, scheme, betas, (0.02,) * 4)
         assert all(c is shared[0] for c in shared)
-    at_tube = InverseSystemSpec(model, (3.0, 2.5), taus=(model.tube_radius,) * 2)
     with pytest.raises(ValueError):
-        _stage_clouds(at_tube, 20)
+        _sample_stages(model, 20, 0, "stratified", (2.5, 3.0), (model.tube_radius,) * 2)
 
 
 def test_inverse_system_gates_and_suppresses_towers():

@@ -387,3 +387,35 @@ def test_condition_report_serializes_with_sorted_content(tmp_path):
     # every condition row carries the compared numbers
     for row in obj["conditions"]:
         assert set(row) == {"name", "lhs", "rhs", "holds", "detail"}
+
+
+@pytest.mark.parametrize(
+    "model, betas",
+    [(Circle(1.0), (0.3, 0.7)), (Trefoil(1.0), (0.2, 2.2)), (theta_graph(8), (0.05, 0.7))],
+    ids=["circle", "trefoil", "theta"],
+)
+@pytest.mark.parametrize("tau", [0.0, 0.01])
+def test_window_and_homotopy_conditions_keep_their_formulas(model, betas, tau):
+    cap = model.max_chord_bound
+    held = set()
+    for b in betas:
+        conds = {c.name: c for c in check_scale_conditions(model, b, tau).conditions}
+        # (map, window lhs, homotopy offset, homotopy span)
+        for name, needed, offset, span in (
+            ("coarsening", 2.0 * b + b, 0.0, 2.0 * b + b),
+            ("noisy-coarsening", b + b + (b + tau), 0.0, b + b),
+            ("projection", b + b, b, b + b),
+        ):
+            window, homotopy = conds[f"{name}-window"], conds[f"{name}-homotopy"]
+            xi = float(homotopy.detail.removeprefix("distortion="))
+            assert window.lhs == needed
+            assert window.rhs == min(needed * 1.001, cap)
+            assert window.detail == f"window={window.rhs!r}"
+            assert window.holds == (needed < cap)
+            assert xi == (model.distortion(window.rhs) if window.holds else math.inf)
+            assert homotopy.lhs == offset + xi * span
+            assert homotopy.rhs == model.homotopy_radius
+            assert homotopy.holds == (window.holds and homotopy.lhs < model.homotopy_radius)
+            held.add(window.holds)
+    # each model sees a window that fits and one that does not
+    assert held == {True, False}
