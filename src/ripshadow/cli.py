@@ -302,11 +302,15 @@ def _run_tower(args, config: dict) -> int:
     object_kind = str(_cfg(args, config, "object", "rips"))
     tau_grid = _number_list(_cfg(args, config, "tau_grid"), "--tau-grid", float)
     if n_sequence is not None:
-        # a direct system samples without noise and builds rips complexes
+        # a direct system samples without noise and builds rips complexes;
+        # its sizes come from --n-sequence and its points from a fixed
+        # enumeration, so --n and --scheme would be ignored
         for flag, given in (
             ("--object shadow-nerve", object_kind == "shadow-nerve"),
             ("--tau-grid", tau_grid is not None),
             ("--tau", tau > 0),
+            ("--n", _cfg(args, config, "n") is not None),
+            ("--scheme", _cfg(args, config, "scheme") is not None),
         ):
             if given:
                 raise UsageError(f"{flag} does not apply to a direct system (--n-sequence)")

@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
 
+import numpy as np
+
 from .rips import SimplicialComplex, SimplicialMap
 from .shadow import ConvexCellSystem, NerveComplex, hulls_intersect
 
@@ -119,8 +121,9 @@ class ChainComplexZ2:
         """Column j = indices of the faces of the j-th m-simplex in the (m-1) basis."""
         if m <= 0:
             return [() for _ in self.basis(m)]
-        lookup = {s: i for i, s in enumerate(self.basis(m - 1))}.__getitem__
-        return [tuple(map(lookup, combinations(s, m))) for s in self.basis(m)]
+        # one int object per face index, shared by every column that names it
+        index = np.arange(len(self.basis(m - 1))).astype(object)
+        return list(zip(*[index[col].tolist() for col in self.complex.face_positions(m).T]))
 
     def faces(self, m: int) -> list[tuple[int, ...]]:
         """``boundary_columns(m)``, built once per dimension."""

@@ -413,7 +413,7 @@ def run_direct_system(spec: DirectSystemSpec) -> LimitReport:
         return report
 
     params = dense_arc_enumeration(model, spec.sizes[-1], spec.seed)
-    pts = np.stack([model.point_at(t) for t in params])
+    pts = model.points_at(params)
     complexes = []
     for n in spec.sizes:
         cloud = PointCloud(pts[:n].copy())

@@ -172,6 +172,10 @@ class Model:
     def point_at(self, t: float) -> np.ndarray:
         raise NotImplementedError
 
+    def points_at(self, ts) -> np.ndarray:
+        """``point_at`` of every parameter in ts, one row each."""
+        return np.stack([self.point_at(t) for t in ts])
+
     def project(self, x: np.ndarray) -> ProjectionResult:
         raise NotImplementedError
 
@@ -279,10 +283,13 @@ class Circle(Model):
         return 2.0 * math.pi * self.radius
 
     def point_at(self, t: float) -> np.ndarray:
-        theta = (t % self.length) / self.radius
-        p = self.center.copy()
-        p[0] += self.radius * math.cos(theta)
-        p[1] += self.radius * math.sin(theta)
+        return self.points_at([t])[0]
+
+    def points_at(self, ts) -> np.ndarray:
+        theta = (np.asarray(ts, dtype=float) % self.length) / self.radius
+        p = np.tile(self.center, (len(theta), 1))
+        p[:, 0] += self.radius * np.cos(theta)
+        p[:, 1] += self.radius * np.sin(theta)
         return p
 
     def tangent_at(self, t: float) -> np.ndarray:
@@ -329,9 +336,9 @@ class Circle(Model):
         return 2.0 * self.radius
 
     def distortion(self, chord_bound: float) -> float:
-        if not 0.0 < chord_bound < 2.0 * self.radius:
+        if not 0.0 < chord_bound <= 2.0 * self.radius:
             raise ValueError(
-                f"chord bound must lie in (0, {2 * self.radius}); got {chord_bound}"
+                f"chord bound must lie in (0, {2 * self.radius}]; got {chord_bound}"
             )
         ratio = chord_bound / (2.0 * self.radius)
         return 2.0 * self.radius * math.asin(ratio) / chord_bound
@@ -437,7 +444,10 @@ class Trefoil(Model):
         return np.interp(np.asarray(uu, dtype=float) % (2.0 * math.pi), u, cum)
 
     def point_at(self, t: float) -> np.ndarray:
-        return np.atleast_2d(_trefoil_point(self._param_of_arc(t), self.scale))[0]
+        return self.points_at([t])[0]
+
+    def points_at(self, ts) -> np.ndarray:
+        return _trefoil_point(self._param_of_arc(ts), self.scale)
 
     def tangent_at(self, t: float) -> np.ndarray:
         d = _trefoil_d1(self._param_of_arc(t), self.scale)
@@ -769,7 +779,7 @@ class EmbeddedGraph(Model):
             m = max(2, int(round(self._elens[k] / self.length * 600)))
             params.append(self._starts[k] + np.linspace(0.0, self._elens[k], m))
         params = np.concatenate(params) % self.length
-        return params, np.stack([self.point_at(t) for t in params])
+        return params, self.points_at(params)
 
     def betti(self) -> tuple[int, int]:
         v = self.vertices.shape[0]

@@ -197,7 +197,7 @@ def _hausdorff_to_model(model: Model, curve: Polyline, zeta: float) -> float:
 
     grid_n = int(math.ceil(model.length / step))
     grid = np.arange(grid_n) * (model.length / grid_n)
-    mpts = np.stack([model.point_at(t) for t in grid])
+    mpts = model.points_at(grid)
     best = np.full(grid_n, np.inf)
     for a, b in segs:
         seg = b - a

@@ -4,15 +4,42 @@ A subset is a simplex exactly when every pairwise distance is strictly
 below the scale.  Strictness matters: a pair at distance exactly beta is
 never joined, so thresholds taken from existing pairwise distances leave
 those pairs out.
+
+Enumeration works on the strict upper-triangular adjacency matrix ``A``,
+one vertex at a time (Zomorodian's incremental expansion, 2010).  The
+simplices whose first vertex is i live among i's later neighbours N; each
+level is expanded inside the block ``A[N, N]``, where the mask of vertices
+that extend a simplex is its parent's mask AND the row of its last vertex.
+``np.nonzero`` reads each level in row-major order, so the per-vertex
+blocks, concatenated in vertex order, are already lexicographic.
+
+Each dimension of a complex is also held as an (m, d+1) ``int64`` array,
+one row per simplex, and indexed by one sorted ``int64`` key array.  A
+packed key (Ripser's combinatorial number system, Bauer 2021) outgrows 64
+bits once C(n, d+1) does, so the keys are ranks, built column by column: the
+code of a row's (k+1)-prefix is ``rank of its k-prefix * len(values) + rank
+of its k-th vertex among the distinct values of column k``, and the rank of
+the prefix is the position of that code among the distinct codes.  Both
+factors are below the number m of simplices, so every code is below m**2,
+which fits ``int64`` for every n, dimension and m that the constructor
+accepts.  Membership, face lookups and the images of simplicial maps follow
+the same codes through ``np.searchsorted``, one column at a time, for whole
+arrays of simplices at once.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from .models import MetricMatrix
+
+# vertex ids and every key code are int64; codes stay below m**2 for m
+# simplices in a dimension, and 2**31 squared is 2**62
+_MAX_VERTICES = 2**63 - 1
+_MAX_SIMPLICES = 2**31
 
 
 class CliqueBudgetError(RuntimeError):
@@ -26,40 +53,153 @@ class CliqueBudgetError(RuntimeError):
         self.count = count
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values."""
+    out = np.sort(values)
+    return out[np.concatenate(([True], out[1:] != out[:-1]))]
+
+
+def _find(sorted_: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of each value in a nonempty sorted array, and whether it is there.
+
+    Absent values get some index below ``len(sorted_)``.
+    """
+    at = np.minimum(np.searchsorted(sorted_, values), len(sorted_) - 1)
+    return at, sorted_[at] == values
+
+
+def _prefix_ranks(rows: np.ndarray) -> tuple[list, np.ndarray]:
+    """Key levels of an (m, k) int64 array, and each row's lexicographic rank.
+
+    Level j holds the distinct values of column j and the sorted distinct
+    codes ``rank of the j-prefix * len(values) + rank of the value`` of the
+    (j+1)-prefixes.  Ranks count distinct rows, so equal rows share one.
+    """
+    rank = np.zeros(len(rows), np.int64)
+    levels = []
+    for col in rows.T:
+        values = _distinct(col)
+        code = rank * len(values) + np.searchsorted(values, col)
+        codes = _distinct(code)
+        rank = np.searchsorted(codes, code)
+        levels.append((values, codes))
+    return levels, rank
+
+
+def _as_tuples(rows: np.ndarray) -> list[tuple[int, ...]]:
+    """The rows of an (m, k) integer array, k >= 1, as tuples of Python ints.
+
+    Within a column equal entries share one int object, so the list costs
+    about what it did when simplices were built by extending tuples; one
+    column at a time keeps the temporary arrays at m entries.
+    """
+    cols = []
+    for col in rows.T:
+        values, inverse = np.unique(col, return_inverse=True)
+        cols.append(values.astype(object)[inverse].tolist())
+    return list(zip(*cols))
+
+
+def _rows_of(group: list, d: int, n: int, rows: np.ndarray | None = None) -> np.ndarray:
+    """The simplices of dimension d as an (m, d+1) int64 array, validated.
+
+    ``rows`` is that array when the caller already has it.  The error names
+    the first simplex that has the wrong length, is not strictly increasing,
+    or has a vertex outside 0..n-1.
+    """
+    m = len(group)
+    if m > _MAX_SIMPLICES:
+        raise ValueError(f"more than {_MAX_SIMPLICES} simplices in dimension {d}")
+    if rows is not None:
+        stop = m
+    else:
+        sizes = np.fromiter(map(len, group), np.int64, m)
+        wrong = np.flatnonzero(sizes != d + 1) if d >= 0 else np.arange(m)
+        stop = int(wrong[0]) if wrong.size else m
+        try:
+            rows = np.fromiter(chain.from_iterable(group[:stop]), np.int64, stop * (d + 1))
+        except OverflowError:
+            # a vertex beyond int64 is out of range; exact integers find the
+            # first bad simplex, which may be an earlier malformed one
+            rows = np.array(group[:stop], dtype=object)
+        rows = rows.reshape(stop, max(d + 1, 0))
+    if stop:
+        malformed = np.any(rows[:, 1:] <= rows[:, :-1], axis=1)
+        bad = np.flatnonzero(malformed | (rows[:, 0] < 0) | (rows[:, -1] >= n))
+        if bad.size:
+            s = group[int(bad[0])]
+            if malformed[bad[0]]:
+                raise ValueError(f"malformed simplex {s} in dimension {d}")
+            raise ValueError(f"vertex out of range in {s}")
+    if stop < m:
+        raise ValueError(f"malformed simplex {group[stop]} in dimension {d}")
+    return rows
+
+
 @dataclass
 class SimplicialComplex:
     """Finite simplicial complex on vertices 0..n-1, capped at dimension ``cap``.
 
     ``simplices`` maps dimension to a lexicographically sorted list of
     vertex tuples.  The vertex list always contains all n singletons.
+    Lookups go through the per-dimension arrays and their key index (see
+    the module docstring); ``simplices`` is the tuple view of the same sets.
     """
 
     n: int
     cap: int
     simplices: dict[int, list[tuple[int, ...]]]
-    _sets: dict[int, set] | None = field(default=None, repr=False, compare=False)
+    # the same simplices as (m, d+1) int64 arrays; a builder that has them
+    # passes them, otherwise they are read from ``simplices``
+    _rows: dict[int, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
+    _keys: dict[int, tuple | None] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.n < 0 or self.cap < 0:
             raise ValueError("n and cap must be nonnegative")
+        if self.n > _MAX_VERTICES:
+            raise ValueError(f"n must be at most {_MAX_VERTICES}")
         for d, group in self.simplices.items():
             if d > self.cap:
                 raise ValueError(f"simplex of dimension {d} above cap {self.cap}")
-            for s in group:
-                if len(s) != d + 1 or list(s) != sorted(set(s)):
-                    raise ValueError(f"malformed simplex {s} in dimension {d}")
-                if s[0] < 0 or s[-1] >= self.n:
-                    raise ValueError(f"vertex out of range in {s}")
+            self._rows[d] = _rows_of(group, d, self.n, self._rows.get(d))
 
-    def _set(self, d: int) -> set:
-        if self._sets is None:
-            self._sets = {}
-        if d not in self._sets:
-            self._sets[d] = set(self.simplices.get(d, ()))
-        return self._sets[d]
+    @classmethod
+    def _from_rows(cls, n: int, cap: int, rows: dict[int, np.ndarray]) -> "SimplicialComplex":
+        """Complex from lexicographically sorted, distinct (m, d+1) int64 arrays."""
+        return cls(n, cap, {d: _as_tuples(r) for d, r in rows.items()}, rows)
+
+    def _locate(self, d: int, rows) -> np.ndarray:
+        """List position in ``simplices[d]`` of each row of an (r, d+1) array,
+        or -1 where the row is absent."""
+        if d not in self._keys:
+            have = self._rows.get(d)
+            self._keys[d] = None
+            if have is not None and len(have):
+                levels, rank = _prefix_ranks(have)
+                where = np.empty(len(levels[-1][1]), np.int64)
+                where[rank] = np.arange(len(have))
+                self._keys[d] = (levels, where)
+        rows = np.asarray(rows, dtype=np.int64)
+        pos = np.full(len(rows), -1, np.int64)
+        if self._keys[d] is None:
+            return pos
+        levels, where = self._keys[d]
+        rank = np.zeros(len(rows), np.int64)
+        hit = np.ones(len(rows), bool)
+        for (values, codes), col in zip(levels, rows.T):
+            at, there = _find(values, col)
+            rank, known = _find(codes, rank * len(values) + at)
+            hit &= there & known
+        pos[hit] = where[rank[hit]]
+        return pos
 
     def has_simplex(self, s: tuple[int, ...]) -> bool:
-        return s in self._set(len(s) - 1)
+        # a non-integer or beyond-int64 vertex names no simplex
+        row = np.asarray([s])
+        return row.dtype.kind in "iu" and bool(self._locate(len(s) - 1, row)[0] >= 0)
 
     def counts(self) -> list[int]:
         return [len(self.simplices.get(d, ())) for d in range(self.dim + 1)]
@@ -73,16 +213,27 @@ class SimplicialComplex:
         for d in sorted(self.simplices):
             yield from self.simplices[d]
 
-    def validate_face_closed(self) -> None:
-        from itertools import combinations
+    def face_positions(self, d: int) -> np.ndarray:
+        """Entry (i, j): position in ``simplices[d-1]`` of the j-th face of the
+        i-th d-simplex, faces in the order of ``combinations(s, d)``.
 
+        Raises for a missing face, naming the first in that order.
+        """
+        rows = self._rows.get(d, np.empty((0, d + 1), np.int64))
+        out = np.empty((len(rows), d + 1), np.int64)
+        for j in range(d + 1):
+            out[:, j] = self._locate(d - 1, np.delete(rows, d - j, axis=1))
+        missing = np.flatnonzero(out.ravel() < 0)
+        if missing.size:
+            i, j = divmod(int(missing[0]), d + 1)
+            s = self.simplices[d][i]
+            raise ValueError(f"face {s[: d - j] + s[d - j + 1 :]} of {s} missing")
+        return out
+
+    def validate_face_closed(self) -> None:
         for d in sorted(self.simplices):
-            if d == 0:
-                continue
-            for s in self.simplices[d]:
-                for face in combinations(s, d):
-                    if not self.has_simplex(face):
-                        raise ValueError(f"face {face} of {s} missing")
+            if d > 0:
+                self.face_positions(d)
 
     def to_json_dict(self) -> dict:
         flat = []
@@ -92,13 +243,25 @@ class SimplicialComplex:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SimplicialComplex":
-        groups: dict[int, list[tuple[int, ...]]] = {}
-        for s in obj["simplices"]:
-            t = tuple(int(v) for v in s)
-            groups.setdefault(len(t) - 1, []).append(t)
-        for d in groups:
-            groups[d] = sorted(set(groups[d]))
-        cx = cls(int(obj["n"]), int(obj["cap"]), groups)
+        """Complex from a flat simplex list, grouped by size, sorted and deduplicated."""
+        flat = obj["simplices"]
+        sizes = np.fromiter(map(len, flat), np.int64, len(flat))
+        kinds = _distinct(sizes).tolist()
+        if 0 in kinds:
+            raise ValueError("malformed simplex () in dimension -1")
+        kinds.sort(key=lambda size: int(np.argmax(sizes == size)))  # order of first use
+        rows = {}
+        for size in kinds:
+            picked = [flat[i] for i in np.flatnonzero(sizes == size).tolist()]
+            try:
+                group = np.fromiter(chain.from_iterable(picked), np.int64, size * len(picked))
+            except OverflowError as exc:
+                raise ValueError(f"vertex out of range in dimension {size - 1}: {exc}") from exc
+            group = group.reshape(len(picked), size)
+            rank = _prefix_ranks(group)[1]
+            rows[size - 1] = np.empty((int(rank.max()) + 1, size), np.int64)
+            rows[size - 1][rank] = group
+        cx = cls._from_rows(int(obj["n"]), int(obj["cap"]), rows)
         cx.validate_face_closed()
         return cx
 
@@ -143,11 +306,22 @@ class SimplicialMap:
         for v in self.vertex_map:
             if not 0 <= v < self.target.n:
                 raise ValueError(f"image vertex {v} out of range")
-        for s in self.source.all_simplices():
-            img = self.map_simplex(s)
-            if not self.target.has_simplex(img):
+        image = np.array(self.vertex_map, dtype=np.int64)
+        for d in sorted(self.source.simplices):
+            # sorted image rows; a repeated vertex drops the image a dimension
+            img = np.sort(image[self.source._rows[d]], axis=1)
+            new = np.ones(img.shape, bool)
+            new[:, 1:] = img[:, 1:] != img[:, :-1]
+            size = new.sum(axis=1)
+            found = np.zeros(len(img), bool)
+            for k in range(1, d + 2):
+                rows = np.flatnonzero(size == k)
+                found[rows] = self.target._locate(k - 1, img[rows][new[rows]].reshape(-1, k)) >= 0
+            missing = np.flatnonzero(~found)
+            if missing.size:
+                s = self.source.simplices[d][int(missing[0])]
                 raise ValueError(
-                    f"map is not simplicial: image {img} of {s} missing in target"
+                    f"map is not simplicial: image {self.map_simplex(s)} of {s} missing in target"
                 )
 
     def map_simplex(self, s: tuple[int, ...]) -> tuple[int, ...]:
@@ -155,36 +329,39 @@ class SimplicialMap:
 
 
 def build_rips(metric: MetricMatrix, beta: float, cap: int = 2) -> SimplicialComplex:
-    """All subsets of pairwise distance strictly below beta, up to dimension cap."""
+    """All subsets of pairwise distance strictly below beta, up to dimension cap.
+
+    Expanded one vertex at a time inside its block of later neighbours; see
+    the module docstring.
+    """
     if beta <= 0:
         raise ValueError("beta must be positive")
     if cap < 0:
         raise ValueError("cap must be nonnegative")
     n = metric.n
-    d = metric.d
-    simplices: dict[int, list[tuple[int, ...]]] = {0: [(i,) for i in range(n)]}
-    if cap == 0 or n == 0:
-        return SimplicialComplex(n, cap, simplices)
-    above = [np.flatnonzero(d[i, i + 1 :] < beta) + (i + 1) for i in range(n)]
-    edges = [(i, int(j)) for i in range(n) for j in above[i]]
-    if edges:
-        simplices[1] = edges
-    frontier = [(e, above[e[1]][d[e[0], above[e[1]]] < beta]) for e in edges]
-    dim = 1
-    while dim < cap and frontier:
-        nxt = []
-        out = []
-        for s, ext in frontier:
-            for j in ext:
-                s2 = s + (int(j),)
-                out.append(s2)
-                ext2 = ext[(ext > j) & (d[j, ext] < beta)]
-                nxt.append((s2, ext2))
-        if out:
-            simplices[dim + 1] = out
-        frontier = nxt
-        dim += 1
-    return SimplicialComplex(n, cap, simplices)
+    adj = np.triu(metric.d < beta, 1)
+    blocks: dict[int, list[np.ndarray]] = {d: [] for d in range(1, cap + 1)}
+    for i in range(n if cap else 0):
+        nbrs = np.flatnonzero(adj[i])
+        if not nbrs.size:
+            continue
+        local = adj[np.ix_(nbrs, nbrs)]
+        # the simplices (i, nbrs[tail]) of this level, and for each the
+        # positions in nbrs that extend it
+        tails = np.arange(len(nbrs))[:, None]
+        ext = local
+        for d in range(1, cap + 1):
+            blocks[d].append(np.column_stack((np.full(len(tails), i), nbrs[tails])))
+            if d == cap:
+                break
+            parent, last = np.nonzero(ext)
+            if not parent.size:
+                break
+            tails = np.column_stack((tails[parent], last))
+            ext = ext[parent] & local[last]
+    rows = {0: np.arange(n, dtype=np.int64)[:, None]}
+    rows.update({d: np.concatenate(b) for d, b in blocks.items() if b})
+    return SimplicialComplex._from_rows(n, cap, rows)
 
 
 def maximal_cliques(

@@ -60,15 +60,32 @@ def test_direct_tower_rejects_flags_it_would_ignore(tmp_path, capsys):
         (["--object", "shadow-nerve"], "--object shadow-nerve"),
         (["--tau-grid", "0.01,0"], "--tau-grid"),
         (["--tau", "0.05"], "--tau"),
+        (["--n", "500"], "--n "),
+        (["--scheme", "uniform-arc"], "--scheme"),
     ):
         assert main(base + extra) == 64
         assert flag in capsys.readouterr().err
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"object": "shadow-nerve"}))
-    assert main(base + ["--config", str(cfg)]) == 64
+    for key, value, flag in (
+        ("object", "shadow-nerve", "--object shadow-nerve"),
+        ("n", 500, "--n "),
+        ("scheme", "stratified", "--scheme"),
+    ):
+        cfg.write_text(json.dumps({key: value}))
+        assert main(base + ["--config", str(cfg)]) == 64
+        assert flag in capsys.readouterr().err
     assert not out.exists()
     # the values that change nothing are still accepted
     assert main(base + ["--object", "rips", "--tau", "0"]) == 0
+
+
+def test_project_check_at_the_circle_diameter_is_out_of_regime(tmp_path):
+    # beta close to the radius clips the coarsening window to the diameter,
+    # where the circle's chord distortion is pi/2
+    out = tmp_path / "pc.json"
+    argv = ["project-check", "--model", "circle", "--beta", "0.9995", "--n", "60"]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert json.loads(out.read_text())["verdict"] == "out-of-regime"
 
 
 def test_missing_subcommand_and_unknown_flag_are_usage_errors():

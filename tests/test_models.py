@@ -98,6 +98,36 @@ def test_circle_constants():
     assert c.tube_radius == pytest.approx(1.0)
     assert c.max_chord_bound == pytest.approx(2.0)
     assert c.betti() == (1, 1)
+    # the chord window may reach the diameter, where the distortion is pi/2
+    assert c.distortion(2.0) == pytest.approx(math.pi / 2.0)
+    with pytest.raises(ValueError):
+        c.distortion(2.0 + 1e-12)
+
+
+def _scalar_point(model, t: float) -> np.ndarray:
+    """One point by the scalar formulas, the reference for ``points_at``."""
+    if isinstance(model, Circle):
+        theta = (t % model.length) / model.radius
+        p = model.center.copy()
+        p[0] += model.radius * math.cos(theta)
+        p[1] += model.radius * math.sin(theta)
+        return p
+    return np.atleast_2d(_trefoil_point(model._param_of_arc(t), model.scale))[0]
+
+
+@pytest.mark.parametrize(
+    "model",
+    [Circle(1.0), Circle(0.37, center=[0.5, -1.0, 2.0], dim=3), Trefoil(1.0), Trefoil(2.5)],
+    ids=["circle", "circle-3d", "trefoil", "trefoil-2.5"],
+)
+def test_model_grid_equals_the_point_by_point_loop(model):
+    # the arc grids of the reconstruction's Hausdorff walk, bit for bit
+    for step in (0.0362 / 10.0, 0.002 * model.length):
+        grid_n = int(math.ceil(model.length / step))
+        grid = np.arange(grid_n) * (model.length / grid_n)
+        want = np.stack([_scalar_point(model, t) for t in grid])
+        assert np.array_equal(model.points_at(grid), want)
+        assert np.array_equal(model.point_at(grid[7]), want[7])
 
 
 def test_circle_projection_and_geodesic():

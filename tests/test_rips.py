@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import re
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ripshadow.cli import _write_json
 from ripshadow.models import PointCloud, euclidean_metric
@@ -43,16 +48,144 @@ def test_square_counts_by_scale():
     assert full.counts() == [4, 6, 4, 1]
 
 
-def test_matches_subset_scan_on_random_clouds():
-    rng = np.random.default_rng(0)
-    for _ in range(25):
-        n = int(rng.integers(2, 11))
-        cloud = PointCloud(rng.uniform(0.0, 1.0, size=(n, 2)))
-        met = euclidean_metric(cloud)
-        beta = float(rng.uniform(0.1, 1.2))
-        fast = build_rips(met, beta, cap=3)
-        slow = brute_rips(met, beta, cap=3)
-        assert fast.simplices == slow.simplices
+def _closure(n: int, cap: int, tops) -> SimplicialComplex:
+    """The complex of every face of the given simplices."""
+    faces: dict[int, set] = {}
+    for top in tops:
+        for k in range(1, len(top) + 1):
+            for face in combinations(top, k):
+                faces.setdefault(k - 1, set()).add(face)
+    return SimplicialComplex(n, cap, {d: sorted(g) for d, g in sorted(faces.items())})
+
+
+# integer grid points: many pairs sit at exactly the same distance, so a
+# scale read off the distance matrix ties with all of them at once
+_GRID_CLOUDS = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1, max_size=20)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_GRID_CLOUDS, st.integers(0, 4), st.data())
+def test_matches_subset_scan_on_random_clouds(points, cap, data):
+    met = euclidean_metric(PointCloud(np.array(points, dtype=float)))
+    ties = sorted(set(met.d[met.d > 0].tolist()))
+    beta = data.draw(st.sampled_from(ties) if ties else st.just(1.0))
+    fast = build_rips(met, beta, cap=cap)
+    slow = brute_rips(met, beta, cap=cap)
+    assert fast.simplices == slow.simplices
+    assert list(fast.simplices) == list(slow.simplices)
+    # every face position is the index of that face in the list one down
+    for d in range(1, fast.dim + 1):
+        index = {s: i for i, s in enumerate(fast.simplices[d - 1])}
+        want = [[index[f] for f in combinations(s, d)] for s in fast.simplices[d]]
+        assert fast.face_positions(d).tolist() == want
+
+
+@pytest.mark.parametrize(
+    "simplices, message",
+    [
+        ({0: [(0,), (1,)], 1: [(0, 1, 2)]}, "malformed simplex (0, 1, 2) in dimension 1"),
+        ({1: [(0, 1), (1, 0)]}, "malformed simplex (1, 0) in dimension 1"),
+        ({1: [(0, 0)]}, "malformed simplex (0, 0) in dimension 1"),
+        ({1: [(0, 1), (0, 2, 1), (2, 1)]}, "malformed simplex (0, 2, 1) in dimension 1"),
+        ({1: [(2, 1), (0, 2, 1)]}, "malformed simplex (2, 1) in dimension 1"),
+        ({1: [(0, 3), (0, 2, 1)]}, "vertex out of range in (0, 3)"),
+        ({0: [(0,), (-1,)]}, "vertex out of range in (-1,)"),
+        ({1: [(0, 2**70)]}, f"vertex out of range in (0, {2**70})"),
+        ({1: [(1, 0), (0, 2**70)]}, "malformed simplex (1, 0) in dimension 1"),
+        ({-1: [()]}, "malformed simplex () in dimension -1"),
+        ({3: []}, "simplex of dimension 3 above cap 2"),
+    ],
+)
+def test_malformed_simplices_are_named(simplices, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SimplicialComplex(3, 2, simplices)
+
+
+def test_json_load_sorts_and_deduplicates():
+    cx = _closure(5, 2, [(0, 1, 2), (1, 3), (2, 3, 4)])
+    flat = cx.to_json_dict()["simplices"]
+    shuffled = [flat[i] for i in np.random.default_rng(1).permutation(len(flat))]
+    back = SimplicialComplex.from_json_dict(
+        {"n": 5, "cap": 2, "simplices": shuffled + shuffled[:7]}
+    )
+    assert back.simplices == cx.simplices
+    with pytest.raises(ValueError, match=re.escape("face (0, 2) of (0, 1, 2) missing")):
+        SimplicialComplex.from_json_dict(
+            {"n": 3, "cap": 2, "simplices": [[2], [0, 1, 2], [1, 2], [0], [1], [0, 1]]}
+        )
+    for bad in ([[0], [1], [0, 2**70]], [[0], [1], [0, 1], []]):
+        with pytest.raises(ValueError):
+            SimplicialComplex.from_json_dict({"n": 3, "cap": 2, "simplices": bad})
+
+
+def test_keys_are_exact_for_large_vertex_ids():
+    # a base-n key of a 3-simplex on n = 2**22 vertices needs 88 bits; cut
+    # to 64, (v0, b, c, d) would match (v0', b, c, d) for any v0, v0', and
+    # the triangles (a, b, c) and (a + 2**20, b, c) would match too
+    n = 2**22
+    tet = (2**21, 2**21 + 2**20 + 1, n - 2, n - 1)
+    twin = (2**21 + 1, n - 2, n - 1)  # tet[1:] with 2**20 taken off its first vertex
+    whole = _closure(n, 3, [tet, twin])
+    whole.validate_face_closed()
+    assert whole.has_simplex(tet) and whole.has_simplex(tet[1:]) and whole.has_simplex(twin)
+    assert not whole.has_simplex((0,) + tet[1:])
+    assert not whole.has_simplex((tet[1] + 2**20, n - 2, n - 1))
+    assert not whole.has_simplex((tet[0] - 2**20, tet[1], n - 2))
+    holed = SimplicialComplex(
+        n, 3, {d: [s for s in g if s != tet[1:]] for d, g in whole.simplices.items()}
+    )
+    with pytest.raises(ValueError, match=re.escape(f"face {tet[1:]} of {tet} missing")):
+        holed.validate_face_closed()
+    tetra = _closure(4, 3, [(0, 1, 2, 3)])
+    SimplicialMap(tetra, whole, tet)
+    with pytest.raises(ValueError, match=re.escape(f"image {tet[1:]} of (1, 2, 3) missing")):
+        SimplicialMap(tetra, holed, tet)
+    # collapsing the tetrahedron onto the twin's vertices lands in dimension 2
+    SimplicialMap(tetra, holed, (tet[2], twin[0], tet[2], tet[3]))
+
+
+def _simplicial_by_definition(source, target, vertex_map):
+    """The first source simplex whose image is not a target simplex, or None."""
+    present = set(target.all_simplices())
+    for s in source.all_simplices():
+        if tuple(sorted({vertex_map[v] for v in s})) not in present:
+            return s
+    return None
+
+
+def test_collapsing_map_needs_every_image():
+    source = _closure(4, 3, [(0, 1, 2, 3)])
+    vertex_map = (0, 0, 1, 2)  # the tetrahedron collapses to a triangle
+    hollow = _closure(3, 2, [(0, 1), (0, 2), (1, 2)])
+    assert _simplicial_by_definition(source, hollow, vertex_map) == (0, 2, 3)
+    with pytest.raises(ValueError, match=re.escape("image (0, 1, 2) of (0, 2, 3) missing")):
+        SimplicialMap(source, hollow, vertex_map)
+    filled = _closure(3, 2, [(0, 1, 2)])
+    assert _simplicial_by_definition(source, filled, vertex_map) is None
+    SimplicialMap(source, filled, vertex_map)
+
+
+_TOPS = st.lists(
+    st.lists(st.integers(0, 5), min_size=1, max_size=4, unique=True).map(
+        lambda s: tuple(sorted(s))
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_TOPS, _TOPS, st.lists(st.integers(0, 5), min_size=6, max_size=6))
+def test_map_verification_matches_the_definition(src_tops, dst_tops, vertex_map):
+    source = _closure(6, 3, src_tops + [(v,) for v in range(6)])
+    target = _closure(6, 3, dst_tops + [(v,) for v in range(6)])
+    first_bad = _simplicial_by_definition(source, target, vertex_map)
+    if first_bad is None:
+        SimplicialMap(source, target, vertex_map)
+    else:
+        image = tuple(sorted({vertex_map[v] for v in first_bad}))
+        with pytest.raises(ValueError, match=re.escape(f"image {image} of {first_bad} missing")):
+            SimplicialMap(source, target, vertex_map)
 
 
 def test_complex_is_face_closed_and_json_stable(tmp_path):
