@@ -20,6 +20,7 @@ import json
 import os
 import sys
 import tempfile
+from itertools import chain
 
 import numpy as np
 
@@ -89,7 +90,35 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _write_json(path: str, obj) -> None:
-    _write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    _write_text(path, _json_text(obj) + "\n")
+
+
+def _json_text(obj, level: int = 0) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)``, indented to ``level``.
+
+    Dicts with string keys are walked key by key, and a list of integer
+    lists (simplices, cells) is filled into one ``%d`` template per row
+    width; every other value goes to ``json.dumps``.  Only exact ``int``
+    vertices take the template, so bools and floats keep json's spelling,
+    and JSON text holds no raw newline but the indentation ones, so the
+    bytes are json's.
+    """
+    pad = "\n" + "  " * level
+    inner = pad + "  "
+    if type(obj) is dict and obj and all(type(k) is str for k in obj):
+        items = [json.dumps(k) + ": " + _json_text(v, level + 1) for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if type(obj) is list and set(map(type, obj)) == {list}:
+        flat = tuple(chain.from_iterable(obj))
+        if set(map(type, flat)) <= {int}:
+            cell = inner + "  "
+            rows = {
+                width: "[" + cell + ("," + cell).join(["%d"] * width) + inner + "]" if width else "[]"
+                for width in set(map(len, obj))
+            }
+            body = ("," + inner).join(map(rows.__getitem__, map(len, obj))) % flat
+            return "[" + inner + body + pad + "]"
+    return json.dumps(obj, sort_keys=True, indent=2).replace("\n", pad)
 
 
 def _points_csv(points: np.ndarray) -> str:
@@ -680,3 +709,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

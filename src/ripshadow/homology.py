@@ -43,6 +43,17 @@ def _mask(indices) -> int:
     return sum(1 << i for i in indices)
 
 
+def _column_mask(indices: list[int]) -> int:
+    """``_mask`` of an increasing index list, set as bits of one byte string.
+
+    Cheaper than summing shifts once a column holds more than a few bits
+    far up, as coboundary columns do.
+    """
+    bits = np.zeros(indices[-1] + 1, np.uint8)
+    bits[indices] = 1
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
 def _reduce(vec: int, piv: dict[int, int], used: list[int] | None = None) -> int:
     """Residue of vec against an echelon keyed by highest set bit.
 
@@ -110,22 +121,19 @@ class ChainComplexZ2:
     """Boundary maps of a complex over the per-dimension simplex bases."""
 
     complex: SimplicialComplex
-    _faces: dict[int, list[tuple[int, ...]]] = field(
-        init=False, default_factory=dict, repr=False
-    )
+    _faces: dict[int, np.ndarray] = field(init=False, default_factory=dict, repr=False)
 
-    def basis(self, m: int) -> list[tuple[int, ...]]:
-        return self.complex.simplices.get(m, [])
+    def size(self, m: int) -> int:
+        """Number of m-simplices, the length of the m-th basis."""
+        return len(self.complex._rows.get(m, ()))
 
-    def boundary_columns(self, m: int) -> list[tuple[int, ...]]:
-        """Column j = indices of the faces of the j-th m-simplex in the (m-1) basis."""
+    def boundary_columns(self, m: int) -> np.ndarray:
+        """Row j = indices of the faces of the j-th m-simplex in the (m-1) basis."""
         if m <= 0:
-            return [() for _ in self.basis(m)]
-        # one int object per face index, shared by every column that names it
-        index = np.arange(len(self.basis(m - 1))).astype(object)
-        return list(zip(*[index[col].tolist() for col in self.complex.face_positions(m).T]))
+            return np.empty((self.size(m), 0), np.int64)
+        return self.complex.face_positions(m)
 
-    def faces(self, m: int) -> list[tuple[int, ...]]:
+    def faces(self, m: int) -> np.ndarray:
         """``boundary_columns(m)``, built once per dimension."""
         got = self._faces.get(m)
         if got is None:
@@ -139,9 +147,9 @@ def _forest_pairs(chain: ChainComplexZ2) -> dict[int, int]:
     Edges are taken in order; each component keeps its smallest vertex as
     root, so an edge joining two components kills the larger root.
     """
-    parent = list(range(len(chain.basis(0))))
+    parent = list(range(chain.size(0)))
     pairs = {}
-    for j, (a, b) in enumerate(chain.faces(1)):
+    for j, (a, b) in enumerate(chain.faces(1).tolist()):
         while parent[a] != a:
             parent[a] = a = parent[parent[a]]
         while parent[b] != b:
@@ -155,39 +163,41 @@ def _forest_pairs(chain: ChainComplexZ2) -> dict[int, int]:
 
 
 def _coboundary_pairs(
-    faces: list[tuple[int, ...]], n_lower: int, cleared: dict[int, int]
+    faces: np.ndarray, n_lower: int, cleared: dict[int, int]
 ) -> dict[int, int]:
     """Pairs from the reduced coboundary columns of the lower simplices.
 
     Columns are coface index lists, processed from the last lower simplex
-    to the first, with the lowest coface as pivot.  A column turns into a
-    bit mask only when its pivot is taken and it has to be reduced.
+    to the first, with the lowest coface as pivot.  One stable sort of the
+    face array lists every lower simplex's cofaces in increasing order.  A
+    column turns into a bit mask only when it has to be reduced or another
+    column is reduced by it; until then the simplex that owns a pivot
+    stands for its column.
     """
-    cofaces: list[list[int]] = [[] for _ in range(n_lower)]
-    for j, fs in enumerate(faces):
-        for f in fs:
-            cofaces[f].append(j)
-    reduced: dict[int, list[int] | int] = {}
+    flat = faces.ravel()
+    cofaces = (np.argsort(flat, kind="stable") // faces.shape[1]).tolist()
+    bounds = [0] + np.cumsum(np.bincount(flat, minlength=n_lower)).tolist()
+    reduced: dict[int, int] = {}  # pivot -> reduced column, once it is a mask
     pairs = {}
     for tau in range(n_lower - 1, -1, -1):
-        col = cofaces[tau]
-        if not col or tau in cleared:
+        lo, hi = bounds[tau], bounds[tau + 1]
+        if lo == hi or tau in cleared:
             continue
-        low = col[0]
-        if low in reduced:
-            cur = _mask(col)
+        low = cofaces[lo]
+        if low in pairs:
+            cur = _column_mask(cofaces[lo:hi])
             while cur:
                 low = (cur & -cur).bit_length() - 1
+                owner = pairs.get(low)
+                if owner is None:
+                    break
                 other = reduced.get(low)
                 if other is None:
-                    break
-                if not isinstance(other, int):
-                    other = reduced[low] = _mask(other)
+                    other = reduced[low] = _column_mask(cofaces[bounds[owner] : bounds[owner + 1]])
                 cur ^= other
             if not cur:
                 continue
-            col = cur
-        reduced[low] = col
+            reduced[low] = cur
         pairs[low] = tau
     return pairs
 
@@ -201,9 +211,7 @@ def persistence_pairs(chain: ChainComplexZ2, up_to: int) -> dict[int, dict[int, 
     """
     pairs = {1: _forest_pairs(chain)}
     for m in range(2, up_to + 2):
-        pairs[m] = _coboundary_pairs(
-            chain.faces(m), len(chain.basis(m - 1)), pairs[m - 1]
-        )
+        pairs[m] = _coboundary_pairs(chain.faces(m), chain.size(m - 1), pairs[m - 1])
     return pairs
 
 
@@ -222,7 +230,7 @@ def betti(complex_: SimplicialComplex, up_to: int) -> list[int]:
     chain = ChainComplexZ2(complex_)
     pairs = persistence_pairs(chain, up_to)
     return [
-        len(chain.basis(m)) - len(pairs.get(m, ())) - len(pairs[m + 1])
+        chain.size(m) - len(pairs.get(m, ())) - len(pairs[m + 1])
         for m in range(up_to + 1)
     ]
 
@@ -255,12 +263,12 @@ class _BoundaryEchelon:
 
     @classmethod
     def build(
-        cls, faces: list[tuple[int, ...]], negative: dict[int, int]
+        cls, faces: np.ndarray, negative: dict[int, int]
     ) -> "_BoundaryEchelon":
         ech = cls({}, {}, {})
         for j in sorted(negative):
             used: list[int] = []
-            col = _reduce(_mask(faces[j]), ech.pivots, used)
+            col = _reduce(_mask(faces[j].tolist()), ech.pivots, used)
             p = negative[j]
             if col.bit_length() - 1 != p:
                 raise InternalConsistencyError(
@@ -272,10 +280,10 @@ class _BoundaryEchelon:
             ech.added[j] = [ech.owner[q] for q in used]
         return ech
 
-    def cycle(self, j: int, faces: list[tuple[int, ...]]) -> int:
+    def cycle(self, j: int, faces: np.ndarray) -> int:
         """Simplex j plus the negative simplices whose boundaries sum to its own."""
         used: list[int] = []
-        if _reduce(_mask(faces[j]), self.pivots, used):
+        if _reduce(_mask(faces[j].tolist()), self.pivots, used):
             raise InternalConsistencyError(f"essential simplex {j} is not a cycle")
         chain = 1 << j
         pending = _mask(self.owner[q] for q in used)
@@ -299,7 +307,7 @@ def homology_basis(complex_: SimplicialComplex, up_to: int) -> HomologyBasis:
     for m in range(up_to + 1):
         above = _BoundaryEchelon.build(chain.faces(m + 1), pairs[m + 1])
         paired = pairs.get(m, {}).keys() | set(pairs[m + 1].values())
-        essential = [j for j in range(len(chain.basis(m))) if j not in paired]
+        essential = [j for j in range(chain.size(m)) if j not in paired]
         if m == 0:
             reps[m] = [1 << j for j in essential]
         else:
@@ -316,14 +324,13 @@ def homology_basis(complex_: SimplicialComplex, up_to: int) -> HomologyBasis:
 
 def _vertex_chain_columns(f: SimplicialMap, m: int) -> list[int]:
     """Chain map columns of a simplicial map: degenerate images drop to zero."""
-    dst_index = {s: i for i, s in enumerate(f.target.simplices.get(m, []))}
-    cols = []
-    for s in f.source.simplices.get(m, []):
-        img = f.map_simplex(s)
-        if len(img) != len(s):
-            cols.append(0)
-        else:
-            cols.append(1 << dst_index[img])
+    rows = f.source._rows.get(m, np.empty((0, m + 1), np.int64))
+    cols = [0] * len(rows)
+    full = f.image_rows(rows).get(m + 1)
+    if full is not None:
+        at, img = full
+        for j, p in zip(at.tolist(), f.target._locate(m, img).tolist()):
+            cols[j] = 1 << p
     return cols
 
 
@@ -362,7 +369,7 @@ def induced_from_chain_columns(
             piv[p] = cur
             coeff[p] = (1 << idx) ^ _sum_used(coeff, used)
         cols = chain_cols[m]
-        n_dst = len(dst_basis.complex.simplices.get(m, []))
+        n_dst = len(dst_basis.complex._rows.get(m, ()))
         images = Gf2Matrix(n_dst, cols).matmul(
             Gf2Matrix(len(cols), src_basis.representatives[m])
         )
@@ -487,7 +494,14 @@ def carrier_map_to_nerve(
         f = SimplicialMap(sd, nerve.complex, tuple(assignment))
     except ValueError as exc:
         raise CarrierVerificationError(str(exc)) from exc
-    images = {f.map_simplex(s) for s in sd.all_simplices()}
+    # the distinct image simplices, read off as target rows (every image
+    # is one, or the map above would have raised)
+    target = nerve.complex
+    images = set()
+    for rows in sd._rows.values():
+        for k, (_, img) in f.image_rows(rows).items():
+            at = np.unique(target._locate(k - 1, img))
+            images.update(map(tuple, target._rows[k - 1][at].tolist()))
     for img in sorted(images):
         if not hulls_intersect(system, img):
             raise CarrierVerificationError(

@@ -585,7 +585,7 @@ def run_metric_comparability(
         for name, met in (("euclidean", met_e), ("epsilon-path", met_p))
     }
     for a, b in zip(towers["euclidean"].complexes, towers["epsilon-path"].complexes):
-        if a.simplices != b.simplices:
+        if a != b:
             raise InternalConsistencyError(
                 "strict complexes differ below the path cutoff; the pinned "
                 "path metric is broken"

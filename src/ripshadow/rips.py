@@ -29,7 +29,7 @@ arrays of simplices at once.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -100,80 +100,111 @@ def _as_tuples(rows: np.ndarray) -> list[tuple[int, ...]]:
     return list(zip(*cols))
 
 
-def _rows_of(group: list, d: int, n: int, rows: np.ndarray | None = None) -> np.ndarray:
+def _rows_of(group: list, d: int, n: int) -> np.ndarray:
     """The simplices of dimension d as an (m, d+1) int64 array, validated.
 
-    ``rows`` is that array when the caller already has it.  The error names
-    the first simplex that has the wrong length, is not strictly increasing,
-    or has a vertex outside 0..n-1.
+    The error names the first simplex that has the wrong length, is not
+    strictly increasing, or has a vertex outside 0..n-1.
     """
     m = len(group)
-    if m > _MAX_SIMPLICES:
-        raise ValueError(f"more than {_MAX_SIMPLICES} simplices in dimension {d}")
-    if rows is not None:
-        stop = m
-    else:
-        sizes = np.fromiter(map(len, group), np.int64, m)
-        wrong = np.flatnonzero(sizes != d + 1) if d >= 0 else np.arange(m)
-        stop = int(wrong[0]) if wrong.size else m
-        try:
-            rows = np.fromiter(chain.from_iterable(group[:stop]), np.int64, stop * (d + 1))
-        except OverflowError:
-            # a vertex beyond int64 is out of range; exact integers find the
-            # first bad simplex, which may be an earlier malformed one
-            rows = np.array(group[:stop], dtype=object)
-        rows = rows.reshape(stop, max(d + 1, 0))
-    if stop:
-        malformed = np.any(rows[:, 1:] <= rows[:, :-1], axis=1)
-        bad = np.flatnonzero(malformed | (rows[:, 0] < 0) | (rows[:, -1] >= n))
-        if bad.size:
-            s = group[int(bad[0])]
-            if malformed[bad[0]]:
-                raise ValueError(f"malformed simplex {s} in dimension {d}")
-            raise ValueError(f"vertex out of range in {s}")
+    sizes = np.fromiter(map(len, group), np.int64, m)
+    wrong = np.flatnonzero(sizes != d + 1) if d >= 0 else np.arange(m)
+    stop = int(wrong[0]) if wrong.size else m
+    try:
+        rows = np.fromiter(chain.from_iterable(group[:stop]), np.int64, stop * (d + 1))
+    except OverflowError:
+        # a vertex beyond int64 is out of range; exact integers find the
+        # first bad simplex, which may be an earlier malformed one
+        rows = np.array(group[:stop], dtype=object)
+    rows = rows.reshape(stop, max(d + 1, 0))
+    _check_rows(rows, d, n)
     if stop < m:
         raise ValueError(f"malformed simplex {group[stop]} in dimension {d}")
     return rows
 
 
-@dataclass
+def _check_rows(rows: np.ndarray, d: int, n: int) -> None:
+    """Raise for the first row that is not strictly increasing or has a
+    vertex outside 0..n-1."""
+    if len(rows) > _MAX_SIMPLICES:
+        raise ValueError(f"more than {_MAX_SIMPLICES} simplices in dimension {d}")
+    if not len(rows):
+        return
+    malformed = np.any(rows[:, 1:] <= rows[:, :-1], axis=1)
+    bad = np.flatnonzero(malformed | (rows[:, 0] < 0) | (rows[:, -1] >= n))
+    if bad.size:
+        s = tuple(rows[int(bad[0])].tolist())
+        if malformed[bad[0]]:
+            raise ValueError(f"malformed simplex {s} in dimension {d}")
+        raise ValueError(f"vertex out of range in {s}")
+
+
+def _check_header(n: int, cap: int, dims) -> None:
+    """Raise for a negative n or cap, an n beyond int64, or a dimension above cap."""
+    if n < 0 or cap < 0:
+        raise ValueError("n and cap must be nonnegative")
+    if n > _MAX_VERTICES:
+        raise ValueError(f"n must be at most {_MAX_VERTICES}")
+    for d in dims:
+        if d > cap:
+            raise ValueError(f"simplex of dimension {d} above cap {cap}")
+
+
 class SimplicialComplex:
     """Finite simplicial complex on vertices 0..n-1, capped at dimension ``cap``.
 
-    ``simplices`` maps dimension to a lexicographically sorted list of
-    vertex tuples.  The vertex list always contains all n singletons.
-    Lookups go through the per-dimension arrays and their key index (see
-    the module docstring); ``simplices`` is the tuple view of the same sets.
+    Each dimension d is held as an (m, d+1) int64 array of lexicographically
+    sorted rows, indexed by the sorted keys of the module docstring.
+    ``simplices`` maps dimension to the same simplices as a sorted list of
+    vertex tuples; a complex built from arrays forms it on first read.
     """
 
-    n: int
-    cap: int
-    simplices: dict[int, list[tuple[int, ...]]]
-    # the same simplices as (m, d+1) int64 arrays; a builder that has them
-    # passes them, otherwise they are read from ``simplices``
-    _rows: dict[int, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
-    _keys: dict[int, tuple | None] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self) -> None:
-        if self.n < 0 or self.cap < 0:
-            raise ValueError("n and cap must be nonnegative")
-        if self.n > _MAX_VERTICES:
-            raise ValueError(f"n must be at most {_MAX_VERTICES}")
-        for d, group in self.simplices.items():
-            if d > self.cap:
-                raise ValueError(f"simplex of dimension {d} above cap {self.cap}")
-            self._rows[d] = _rows_of(group, d, self.n, self._rows.get(d))
+    def __init__(self, n: int, cap: int, simplices: dict[int, list[tuple[int, ...]]]):
+        _check_header(n, cap, simplices)
+        self._setup(n, cap, {d: _rows_of(g, d, n) for d, g in simplices.items()})
+        self._simplices = simplices
 
     @classmethod
     def _from_rows(cls, n: int, cap: int, rows: dict[int, np.ndarray]) -> "SimplicialComplex":
         """Complex from lexicographically sorted, distinct (m, d+1) int64 arrays."""
-        return cls(n, cap, {d: _as_tuples(r) for d, r in rows.items()}, rows)
+        _check_header(n, cap, rows)
+        for d, r in rows.items():
+            _check_rows(r, d, n)
+        cx = cls.__new__(cls)
+        cx._setup(n, cap, rows)
+        return cx
+
+    def _setup(self, n: int, cap: int, rows: dict[int, np.ndarray]) -> None:
+        self.n = n
+        self.cap = cap
+        self._rows = rows
+        self._keys: dict[int, tuple | None] = {}
+        self._faces: dict[int, np.ndarray] = {}
+        self._simplices: dict[int, list[tuple[int, ...]]] | None = None
+
+    @property
+    def simplices(self) -> dict[int, list[tuple[int, ...]]]:
+        if self._simplices is None:
+            self._simplices = {d: _as_tuples(r) for d, r in self._rows.items()}
+        return self._simplices
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SimplicialComplex):
+            return NotImplemented
+        return (
+            (self.n, self.cap) == (other.n, other.cap)
+            and self._rows.keys() == other._rows.keys()
+            and all(np.array_equal(r, other._rows[d]) for d, r in self._rows.items())
+        )
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"SimplicialComplex(n={self.n}, cap={self.cap}, counts={self.counts()})"
 
     def _locate(self, d: int, rows) -> np.ndarray:
-        """List position in ``simplices[d]`` of each row of an (r, d+1) array,
-        or -1 where the row is absent."""
+        """Row in dimension d of each row of an (r, d+1) array, or -1 where
+        the row is absent."""
         if d not in self._keys:
             have = self._rows.get(d)
             self._keys[d] = None
@@ -202,23 +233,22 @@ class SimplicialComplex:
         return row.dtype.kind in "iu" and bool(self._locate(len(s) - 1, row)[0] >= 0)
 
     def counts(self) -> list[int]:
-        return [len(self.simplices.get(d, ())) for d in range(self.dim + 1)]
+        return [len(self._rows.get(d, ())) for d in range(self.dim + 1)]
 
     @property
     def dim(self) -> int:
-        dims = [d for d, g in self.simplices.items() if g]
+        dims = [d for d, r in self._rows.items() if len(r)]
         return max(dims) if dims else -1
 
-    def all_simplices(self):
-        for d in sorted(self.simplices):
-            yield from self.simplices[d]
-
     def face_positions(self, d: int) -> np.ndarray:
-        """Entry (i, j): position in ``simplices[d-1]`` of the j-th face of the
-        i-th d-simplex, faces in the order of ``combinations(s, d)``.
+        """Entry (i, j): row in dimension d-1 of the j-th face of the i-th
+        d-simplex, faces in the order of ``combinations(s, d)``.
 
-        Raises for a missing face, naming the first in that order.
+        Raises for a missing face, naming the first in that order.  The
+        array is computed once per dimension and is read-only.
         """
+        if d in self._faces:
+            return self._faces[d]
         rows = self._rows.get(d, np.empty((0, d + 1), np.int64))
         out = np.empty((len(rows), d + 1), np.int64)
         for j in range(d + 1):
@@ -226,27 +256,42 @@ class SimplicialComplex:
         missing = np.flatnonzero(out.ravel() < 0)
         if missing.size:
             i, j = divmod(int(missing[0]), d + 1)
-            s = self.simplices[d][i]
+            s = tuple(rows[i].tolist())
             raise ValueError(f"face {s[: d - j] + s[d - j + 1 :]} of {s} missing")
+        out.flags.writeable = False
+        self._faces[d] = out
         return out
 
     def validate_face_closed(self) -> None:
-        for d in sorted(self.simplices):
+        for d in sorted(self._rows):
             if d > 0:
                 self.face_positions(d)
 
     def to_json_dict(self) -> dict:
         flat = []
-        for d in sorted(self.simplices):
-            flat.extend([list(s) for s in self.simplices[d]])
+        for d in sorted(self._rows):
+            flat += self._rows[d].tolist()
         return {"n": self.n, "cap": self.cap, "simplices": flat}
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SimplicialComplex":
-        """Complex from a flat simplex list, grouped by size, sorted and deduplicated."""
-        flat = obj["simplices"]
+        """Complex from a flat simplex list, grouped by size, sorted and deduplicated.
+
+        ``n``, ``cap`` and every vertex must be JSON integers, and the list
+        must hold the singleton of every vertex 0..n-1.
+        """
+        n, cap, flat = obj["n"], obj["cap"], obj["simplices"]
+        for name, value in (("n", n), ("cap", cap)):
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {json.dumps(value)}")
+        if type(flat) is not list or set(map(type, flat)) - {list}:
+            raise ValueError("simplices must be a list of vertex lists")
+        if set(map(type, chain.from_iterable(flat))) - {int}:
+            s = next(s for s in flat if any(type(v) is not int for v in s))
+            v = next(v for v in s if type(v) is not int)
+            raise ValueError(f"non-integer vertex {json.dumps(v)} in simplex {json.dumps(s)}")
         sizes = np.fromiter(map(len, flat), np.int64, len(flat))
-        kinds = _distinct(sizes).tolist()
+        kinds = _distinct(sizes).tolist() if len(flat) else []
         if 0 in kinds:
             raise ValueError("malformed simplex () in dimension -1")
         kinds.sort(key=lambda size: int(np.argmax(sizes == size)))  # order of first use
@@ -261,7 +306,13 @@ class SimplicialComplex:
             rank = _prefix_ranks(group)[1]
             rows[size - 1] = np.empty((int(rank.max()) + 1, size), np.int64)
             rows[size - 1][rank] = group
-        cx = cls._from_rows(int(obj["n"]), int(obj["cap"]), rows)
+        cx = cls._from_rows(n, cap, rows)
+        # the vertex rows are sorted, distinct and below n: the first gap is
+        # the first missing singleton
+        have = rows.get(0, np.empty((0, 1), np.int64))[:, 0]
+        if len(have) < n:
+            gap = np.flatnonzero(have != np.arange(len(have)))
+            raise ValueError(f"vertex singleton [{int(gap[0]) if gap.size else len(have)}] missing")
         cx.validate_face_closed()
         return cx
 
@@ -306,23 +357,34 @@ class SimplicialMap:
         for v in self.vertex_map:
             if not 0 <= v < self.target.n:
                 raise ValueError(f"image vertex {v} out of range")
-        image = np.array(self.vertex_map, dtype=np.int64)
-        for d in sorted(self.source.simplices):
-            # sorted image rows; a repeated vertex drops the image a dimension
-            img = np.sort(image[self.source._rows[d]], axis=1)
-            new = np.ones(img.shape, bool)
-            new[:, 1:] = img[:, 1:] != img[:, :-1]
-            size = new.sum(axis=1)
-            found = np.zeros(len(img), bool)
-            for k in range(1, d + 2):
-                rows = np.flatnonzero(size == k)
-                found[rows] = self.target._locate(k - 1, img[rows][new[rows]].reshape(-1, k)) >= 0
+        for d, rows in sorted(self.source._rows.items()):
+            found = np.zeros(len(rows), bool)
+            for k, (at, img) in self.image_rows(rows).items():
+                found[at] = self.target._locate(k - 1, img) >= 0
             missing = np.flatnonzero(~found)
             if missing.size:
-                s = self.source.simplices[d][int(missing[0])]
+                s = tuple(rows[int(missing[0])].tolist())
                 raise ValueError(
                     f"map is not simplicial: image {self.map_simplex(s)} of {s} missing in target"
                 )
+
+    def image_rows(self, rows: np.ndarray) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """Images of an (m, d+1) array of source simplices, grouped by size.
+
+        Maps k to the indices of the rows whose image has k vertices and
+        those images as a sorted (r, k) array; a repeated vertex drops the
+        image a dimension.
+        """
+        img = np.sort(np.array(self.vertex_map, dtype=np.int64)[rows], axis=1)
+        new = np.ones(img.shape, bool)
+        new[:, 1:] = img[:, 1:] != img[:, :-1]
+        size = new.sum(axis=1)
+        out = {}
+        for k in range(1, img.shape[1] + 1):
+            at = np.flatnonzero(size == k)
+            if at.size:
+                out[k] = (at, img[at][new[at]].reshape(-1, k))
+        return out
 
     def map_simplex(self, s: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(sorted({self.vertex_map[v] for v in s}))

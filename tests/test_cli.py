@@ -3,11 +3,23 @@
 from __future__ import annotations
 
 import json
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from itertools import combinations
 
 import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ripshadow.cli import main
+import ripshadow
+from ripshadow.cli import _write_json, main
 from ripshadow.models import PointCloud
+from ripshadow.rips import CliqueList, SimplicialComplex
+from ripshadow.shadow import NerveComplex
 
 
 def test_inverse_tower_example_succeeds(tmp_path):
@@ -240,3 +252,137 @@ def test_no_temp_files_survive_a_run(tmp_path):
     ) == 0
     leftovers = [p.name for p in tmp_path.iterdir() if p.name.startswith(".rsl-tmp-")]
     assert leftovers == []
+
+
+@pytest.mark.parametrize(
+    "stored, message",
+    [
+        ({"n": 2, "cap": 1, "simplices": [[0], [1], [0, 1.5]]}, "non-integer vertex 1.5 in simplex [0, 1.5]"),
+        ({"n": 2, "cap": 1, "simplices": [[0], ["1"], [0, 1]]}, 'non-integer vertex "1" in simplex ["1"]'),
+        ({"n": 2, "cap": 1, "simplices": [[0], [True], [0, 1]]}, "non-integer vertex true in simplex [true]"),
+        ({"n": 2.7, "cap": 1, "simplices": [[0], [1]]}, "n must be an integer, got 2.7"),
+        ({"n": 2, "cap": 1.0, "simplices": [[0], [1]]}, "cap must be an integer, got 1.0"),
+        ({"n": 3, "cap": 1, "simplices": [[0], [1]]}, "vertex singleton [2] missing"),
+        ({"n": 3, "cap": 1, "simplices": [[0], [2], [0, 2]]}, "vertex singleton [1] missing"),
+        ({"n": 2, "cap": 1, "simplices": []}, "vertex singleton [0] missing"),
+        ({"n": 2, "cap": 1, "simplices": [[0], [1], 1]}, "simplices must be a list of vertex lists"),
+    ],
+    ids=["float-vertex", "string-vertex", "bool-vertex", "float-n", "float-cap",
+         "missing-last-singleton", "missing-middle-singleton", "empty-list", "bare-vertex"],
+)
+def test_malformed_complex_file_exits_one(tmp_path, capsys, stored, message):
+    cx = tmp_path / "cx.json"
+    cx.write_text(json.dumps(stored))
+    assert main(["homology", "--complex", str(cx)]) == 1
+    assert re.search(f"malformed input file .*: {re.escape(message)}", capsys.readouterr().err)
+
+
+def test_empty_complex_file_loads_when_there_are_no_vertices(tmp_path, capsys):
+    cx = tmp_path / "cx.json"
+    cx.write_text(json.dumps({"n": 0, "cap": 2, "simplices": []}))
+    assert main(["homology", "--complex", str(cx)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"betti": [0, 0], "up_to": 1}
+
+
+def test_module_runs_as_a_script(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ripshadow.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    pts = tmp_path / "pts.csv"
+    cli = [sys.executable, "-m", "ripshadow.cli"]
+    run = subprocess.run(
+        cli + ["sample", "--model", "circle", "--n", "5", "--out", str(pts)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0
+    assert run.stdout == f"wrote 5 points in R^2 to {pts}\n"
+    assert PointCloud.from_csv(str(pts)).n == 5
+    run = subprocess.run(cli, env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 64
+    assert "a subcommand is required" in run.stderr
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer renders exactly what json.dumps renders
+
+
+def _written(obj) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out.json")
+        _write_json(path, obj)
+        with open(path, newline="") as fh:
+            return fh.read()
+
+
+def _dumped(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+@st.composite
+def _complexes(draw):
+    """Random face-closed complexes, n = 0 included, with some empty
+    dimensions up to the cap."""
+    n = draw(st.integers(0, 6))
+    cap = draw(st.integers(0, 3))
+    tops = draw(
+        st.lists(st.sets(st.integers(0, max(n - 1, 0)), min_size=1, max_size=cap + 1), max_size=4)
+        if n
+        else st.just([])
+    )
+    faces = {d: set() for d in draw(st.sets(st.integers(0, cap)))}
+    faces[0] = {(v,) for v in range(n)}
+    for top in tops:
+        for k in range(1, len(top) + 1):
+            faces.setdefault(k - 1, set()).update(combinations(sorted(top), k))
+    return SimplicialComplex(n, cap, {d: sorted(g) for d, g in faces.items()})
+
+
+def _nonempty(cx: SimplicialComplex) -> dict:
+    return {d: g for d, g in cx.simplices.items() if g}
+
+
+@settings(max_examples=100, deadline=None)
+@given(_complexes(), st.lists(st.sets(st.integers(0, 9), max_size=3).map(sorted).map(tuple)))
+def test_writer_matches_json_dumps_on_complexes_and_nerves(cx, cells):
+    obj = cx.to_json_dict()
+    text = _written(obj)
+    assert text == _dumped(obj)
+    back = SimplicialComplex.from_json_dict(json.loads(text))
+    assert (back.n, back.cap) == (cx.n, cx.cap)
+    assert _nonempty(back) == _nonempty(cx)
+    nerve = NerveComplex(cx, CliqueList(10, tuple(sorted(cells)))).to_json_dict()
+    assert "cells" in nerve
+    assert _written(nerve) == _dumped(nerve)
+
+
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([2**70, -(2**70), 0, -1])
+    | st.floats()
+    | st.text(max_size=4)
+)
+# rows of integers, with a bool or a float slipped in now and then
+_ROWS = st.lists(
+    st.lists(
+        st.integers() | st.sampled_from([2**70, -3]) | st.booleans() | st.floats(0, 1),
+        max_size=3,
+    )
+)
+_MIXED_ROWS = st.lists(st.lists(_SCALARS, max_size=3))
+
+
+@settings(max_examples=200, deadline=None)
+@example([[0, 1], [True]])
+@example({"cells": [[1.0]], "simplices": [[2**70, -1], []]})
+@given(
+    st.recursive(
+        _SCALARS | _ROWS | _MIXED_ROWS,
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=3), inner, max_size=3)
+        | st.dictionaries(st.integers(), inner, max_size=2),
+        max_leaves=12,
+    )
+)
+def test_writer_matches_json_dumps_on_nested_values(obj):
+    assert _written(obj) == _dumped(obj)

@@ -12,7 +12,6 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 # "module.*" covers every name of a module.  Dunder methods are kept too:
 # Python calls them.
 ALLOWED = {
-    "cli.entry": "the console script named in pyproject.toml",
     "cli._Parser.error": "argparse calls it on a bad flag",
     "oracle.*": "reference implementations that tests compare the fast paths against",
 }

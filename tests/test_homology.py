@@ -134,7 +134,7 @@ def test_coboundary_pairs_equal_boundary_pivots():
     chain = ChainComplexZ2(complex_)
     pairs = persistence_pairs(chain, 1)
     for m in (1, 2):
-        masks = [sum(1 << f for f in faces) for faces in chain.boundary_columns(m)]
+        masks = [sum(1 << f for f in faces) for faces in chain.boundary_columns(m).tolist()]
         assert pairs[m] == _column_echelon_pairs(masks)
         assert set(pairs[m].values()) == set(_echelon_basis(masks))
     # union-find leaves one column to clear per non-root vertex

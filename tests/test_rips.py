@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import re
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 import pytest
@@ -146,8 +146,8 @@ def test_keys_are_exact_for_large_vertex_ids():
 
 def _simplicial_by_definition(source, target, vertex_map):
     """The first source simplex whose image is not a target simplex, or None."""
-    present = set(target.all_simplices())
-    for s in source.all_simplices():
+    present = set(chain.from_iterable(target.simplices.values()))
+    for s in chain.from_iterable(source.simplices[d] for d in sorted(source.simplices)):
         if tuple(sorted({vertex_map[v] for v in s})) not in present:
             return s
     return None
