@@ -18,7 +18,7 @@ given complex.  Reports carry only ranks, which do not depend on the basis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -401,49 +401,88 @@ def induced_map_on_bases(
 # barycentric subdivision
 
 
+def _flag_patterns(d: int) -> dict[int, list[tuple[tuple[int, ...], ...]]]:
+    """Chains of faces of a d-simplex that end at the simplex, by length - 1.
+
+    Faces are tuples of vertex positions 0..d.  A chain of k+1 faces is a
+    map of the positions onto the steps 0..k: face i holds the positions
+    of step at most i.  The chains of length d+1 are the full flags, one
+    per permutation of the positions.
+    """
+    out: dict[int, list[tuple[tuple[int, ...], ...]]] = {}
+    for steps in product(range(d + 1), repeat=d + 1):
+        k = max(steps)
+        if len(set(steps)) == k + 1:
+            out.setdefault(k, []).append(
+                tuple(
+                    tuple(p for p in range(d + 1) if steps[p] <= i) for i in range(k + 1)
+                )
+            )
+    return out
+
+
+def _vertex_offsets(complex_: SimplicialComplex) -> tuple[dict[int, int], int]:
+    """First subdivision vertex of each dimension's simplices, and the total."""
+    offsets, total = {}, 0
+    for d in sorted(complex_._rows):
+        offsets[d] = total
+        total += len(complex_._rows[d])
+    return offsets, total
+
+
+def _face_vertices(
+    complex_: SimplicialComplex, offsets: dict[int, int], d: int
+) -> dict[tuple[int, ...], np.ndarray]:
+    """Subdivision vertex of each face of every d-simplex, keyed by the
+    face's vertex positions."""
+    rows = complex_._rows[d]
+    out = {}
+    for size in range(1, d + 2):
+        for pos in combinations(range(d + 1), size):
+            at = complex_._locate(size - 1, rows[:, pos])
+            if (at < 0).any():
+                s = tuple(rows[int(np.argmax(at < 0))].tolist())
+                face = tuple(s[p] for p in pos)
+                raise ValueError(f"face {face} of {s} missing")
+            out[pos] = offsets[size - 1] + at
+    return out
+
+
 def barycentric_subdivision(
     complex_: SimplicialComplex,
 ) -> tuple[SimplicialComplex, list[tuple[int, ...]]]:
     """First barycentric subdivision and the carrier of each new vertex.
 
     New vertices are the simplices of the input, ordered by (dimension,
-    lexicographic); new simplices are the chains of proper inclusions.
+    lexicographic): the i-th d-simplex is vertex ``offset(d) + i``, where
+    ``offset(d)`` counts the simplices of lower dimension.  New simplices
+    are the chains of proper inclusions.  The chains that end at a
+    d-simplex follow one fixed list of face-position patterns per d
+    (``_flag_patterns``), so each pattern maps the whole (m, d+1) row array
+    to rows of new vertices at once; since ids grow with dimension, those
+    rows are already increasing.
     """
-    carriers = []
-    vertex_of: dict[tuple[int, ...], int] = {}
-    for d in sorted(complex_.simplices):
-        for s in complex_.simplices[d]:
-            vertex_of[s] = len(carriers)
-            carriers.append(s)
-
-    chains_cache: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-
-    def chains_ending_at(s: tuple[int, ...]) -> list[tuple[int, ...]]:
-        got = chains_cache.get(s)
-        if got is not None:
-            return got
-        out = [(vertex_of[s],)]
-        for size in range(1, len(s)):
-            for face in combinations(s, size):
-                for ch in chains_ending_at(face):
-                    out.append(ch + (vertex_of[s],))
-        chains_cache[s] = out
-        return out
-
-    groups: dict[int, set] = {}
-    for s in vertex_of:
-        for ch in chains_ending_at(s):
-            groups.setdefault(len(ch) - 1, set()).add(tuple(sorted(ch)))
-    simplices = {d: sorted(g) for d, g in groups.items()}
-    sd = SimplicialComplex(len(carriers), complex_.cap, simplices)
+    offsets, total = _vertex_offsets(complex_)
+    blocks: dict[int, list[np.ndarray]] = {}
+    for d, rows in sorted(complex_._rows.items()):
+        if not len(rows):
+            continue
+        faces = _face_vertices(complex_, offsets, d)
+        for k, flags in _flag_patterns(d).items():
+            blocks.setdefault(k, []).extend(
+                np.stack([faces[pos] for pos in flag], axis=1) for flag in flags
+            )
+    sd_rows = {}
+    for k, parts in sorted(blocks.items()):
+        rows = np.concatenate(parts)
+        sd_rows[k] = rows[np.lexsort(rows.T[::-1])]
+    sd = SimplicialComplex._from_rows(total, complex_.cap, sd_rows)
+    carriers = [s for d in sorted(complex_._rows) for s in complex_.simplices[d]]
     return sd, carriers
 
 
 def subdivision_chain_columns(
-    complex_: SimplicialComplex,
-    sd: SimplicialComplex,
-    carriers: list[tuple[int, ...]],
-    up_to: int,
+    complex_: SimplicialComplex, sd: SimplicialComplex, up_to: int
 ) -> dict[int, list[int]]:
     """Chain map sending each simplex to the sum of its subdivided pieces.
 
@@ -451,23 +490,35 @@ def subdivision_chain_columns(
     face in every dimension 0..m.  This chain map induces the subdivision
     isomorphism on homology.
     """
-    vertex_of = {s: i for i, s in enumerate(carriers)}
-    sd_index = {
-        d: {s: i for i, s in enumerate(group)} for d, group in sd.simplices.items()
-    }
+    offsets, _ = _vertex_offsets(complex_)
     cols_by_dim: dict[int, list[int]] = {}
     for m in range(up_to + 1):
-        cols = []
-        for s in complex_.simplices.get(m, []):
-            acc = 0
-            for perm in permutations(s):
-                flag = tuple(
-                    vertex_of[tuple(sorted(perm[: k + 1]))] for k in range(m + 1)
-                )
-                acc ^= 1 << sd_index[m][tuple(sorted(flag))]
-            cols.append(acc)
-        cols_by_dim[m] = cols
+        if not len(complex_._rows.get(m, ())):
+            cols_by_dim[m] = []
+            continue
+        faces = _face_vertices(complex_, offsets, m)
+        at = np.stack(
+            [
+                sd._locate(m, np.stack([faces[pos] for pos in flag], axis=1))
+                for flag in _flag_patterns(m)[m]
+            ],
+            axis=1,
+        )
+        cols_by_dim[m] = [_mask(row) for row in at.tolist()]
     return cols_by_dim
+
+
+def composed_chain_columns(
+    f: SimplicialMap, inner: dict[int, list[int]]
+) -> dict[int, list[int]]:
+    """Chain map columns of f_# after ``inner``, whose columns are chains
+    on f's source, in every dimension of ``inner``."""
+    out = {}
+    for m, cols in inner.items():
+        outer = _vertex_chain_columns(f, m)
+        n_dst = len(f.target._rows.get(m, ()))
+        out[m] = Gf2Matrix(n_dst, outer).matmul(Gf2Matrix(len(outer), cols)).cols
+    return out
 
 
 def carrier_map_to_nerve(

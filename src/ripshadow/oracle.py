@@ -92,6 +92,45 @@ def brute_homology(complex_: SimplicialComplex, m: int) -> int:
     return n_m - rank_in - rank_out
 
 
+def brute_barycentric_subdivision(
+    complex_: SimplicialComplex,
+) -> tuple[SimplicialComplex, list[tuple[int, ...]]]:
+    """First barycentric subdivision from vertex tuples, chain by chain.
+
+    New vertices are the simplices of the input in (dimension,
+    lexicographic) order.  Each chain of proper inclusions is grown
+    recursively downwards from its largest simplex through every proper
+    face, and the chains are collected as sorted tuples.
+    """
+    carriers = []
+    vertex_of: dict[tuple[int, ...], int] = {}
+    for d in sorted(complex_.simplices):
+        for s in complex_.simplices[d]:
+            vertex_of[s] = len(carriers)
+            carriers.append(s)
+
+    chains_cache: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+
+    def chains_ending_at(s: tuple[int, ...]) -> list[tuple[int, ...]]:
+        got = chains_cache.get(s)
+        if got is not None:
+            return got
+        out = [(vertex_of[s],)]
+        for size in range(1, len(s)):
+            for face in combinations(s, size):
+                for ch in chains_ending_at(face):
+                    out.append(ch + (vertex_of[s],))
+        chains_cache[s] = out
+        return out
+
+    groups: dict[int, set] = {}
+    for s in vertex_of:
+        for ch in chains_ending_at(s):
+            groups.setdefault(len(ch) - 1, set()).add(tuple(sorted(ch)))
+    simplices = {d: sorted(g) for d, g in groups.items()}
+    return SimplicialComplex(len(carriers), complex_.cap, simplices), carriers
+
+
 def brute_nerve(system: ConvexCellSystem, cap: int = 2) -> SimplicialComplex:
     """Every subset of up to cap+1 cells, decided by exact feasibility alone.
 

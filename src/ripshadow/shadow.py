@@ -109,8 +109,9 @@ def hulls_intersect(system: ConvexCellSystem, ids) -> bool:
     ids = sorted(set(int(i) for i in ids))
     if not ids:
         raise ValueError("need at least one cell id")
+    count = len(system)
     for i in ids:
-        if not 0 <= i < len(system):
+        if not 0 <= i < count:
             raise ValueError(f"cell id {i} out of range")
     if len(ids) == 1:
         return True

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from ripshadow.homology import (
     _echelon_basis,
 )
 from ripshadow.models import Circle, PointCloud, SamplerSpec, euclidean_metric, sample
-from ripshadow.oracle import brute_homology
+from ripshadow.oracle import brute_barycentric_subdivision, brute_homology
 from ripshadow.rips import SimplicialComplex, SimplicialMap, build_rips, inclusion_map, maximal_cliques
 from ripshadow.shadow import ConvexCellSystem, build_nerve
 
@@ -195,6 +196,7 @@ def test_subdivision_counts_on_a_filled_triangle():
     sd, _ = barycentric_subdivision(tri)
     assert sd.counts() == [7, 12, 6]
     assert betti(sd, 1) == [1, 0]
+    _check_subdivision_against_references(tri)
 
 
 def test_subdivision_preserves_betti_numbers():
@@ -210,10 +212,75 @@ def test_subdivision_chain_map_is_an_isomorphism_on_homology():
     sd, carriers = barycentric_subdivision(complex_)
     src = homology_basis(complex_, 1)
     dst = homology_basis(sd, 1)
-    cols = subdivision_chain_columns(complex_, sd, carriers, 1)
+    cols = subdivision_chain_columns(complex_, sd, 1)
     mats = induced_from_chain_columns(cols, src, dst, 1)
     for m in range(2):
         assert mats[m].rank() == src.rank(m) == dst.rank(m)
+
+
+@st.composite
+def _closed_complexes(draw) -> SimplicialComplex:
+    """The closure of a few random simplices on up to six vertices, cap 0-3."""
+    n = draw(st.integers(1, 6))
+    cap = draw(st.integers(0, 3))
+    tops = draw(
+        st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=cap + 1), max_size=8)
+    )
+    groups: dict[int, set] = {0: {(i,) for i in range(n)}}
+    for top in tops:
+        t = tuple(sorted(top))
+        for size in range(2, len(t) + 1):
+            groups.setdefault(size - 1, set()).update(combinations(t, size))
+    return SimplicialComplex(n, cap, {d: sorted(g) for d, g in groups.items()})
+
+
+def _reference_chain_columns(complex_, sd, carriers, up_to):
+    """Subdivision chain columns by a loop over vertex permutations."""
+    vertex_of = {s: i for i, s in enumerate(carriers)}
+    sd_index = {d: {s: i for i, s in enumerate(g)} for d, g in sd.simplices.items()}
+    out = {}
+    for m in range(up_to + 1):
+        cols = []
+        for s in complex_.simplices.get(m, []):
+            acc = 0
+            for perm in permutations(s):
+                flag = tuple(vertex_of[tuple(sorted(perm[: k + 1]))] for k in range(m + 1))
+                acc ^= 1 << sd_index[m][tuple(sorted(flag))]
+            cols.append(acc)
+        out[m] = cols
+    return out
+
+
+def _check_subdivision_against_references(complex_: SimplicialComplex) -> None:
+    sd, carriers = barycentric_subdivision(complex_)
+    ref_sd, ref_carriers = brute_barycentric_subdivision(complex_)
+    assert sd == ref_sd
+    assert sd.simplices == ref_sd.simplices
+    assert carriers == ref_carriers
+    assert subdivision_chain_columns(complex_, sd, complex_.cap) == _reference_chain_columns(
+        complex_, sd, carriers, complex_.cap
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_closed_complexes())
+def test_subdivision_matches_the_oracle(complex_):
+    _check_subdivision_against_references(complex_)
+
+
+def test_subdivision_with_an_empty_top_dimension_matches_the_oracle():
+    complex_ = SimplicialComplex(3, 2, {0: [(0,), (1,), (2,)], 1: [(0, 1)], 2: []})
+    sd, _ = barycentric_subdivision(complex_)
+    assert sd.counts() == [4, 2]
+    _check_subdivision_against_references(complex_)
+
+
+def test_subdivision_of_a_single_vertex_is_itself():
+    complex_ = SimplicialComplex(1, 0, {0: [(0,)]})
+    sd, carriers = barycentric_subdivision(complex_)
+    assert sd == complex_
+    assert carriers == [(0,)]
+    _check_subdivision_against_references(complex_)
 
 
 def test_induced_from_chain_columns_rejects_a_non_chain_map():

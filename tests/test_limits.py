@@ -7,9 +7,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ripshadow.limits
 from ripshadow.cli import _write_json
+from ripshadow.homology import (
+    barycentric_subdivision,
+    carrier_map_to_nerve,
+    composed_chain_columns,
+    homology_basis,
+    induced_from_chain_columns,
+    induced_map_on_bases,
+    subdivision_chain_columns,
+)
 from ripshadow.limits import (
     DirectSystemSpec,
     InverseSystemSpec,
@@ -24,6 +35,8 @@ from ripshadow.limits import (
     run_projection_check,
 )
 from ripshadow.models import Circle, SamplerSpec, sample, theta_graph
+from ripshadow.rips import build_rips, maximal_cliques
+from ripshadow.shadow import ConvexCellSystem, build_nerve
 
 
 # ---------------------------------------------------------------------------
@@ -267,3 +280,73 @@ def test_projection_check_gates_out_of_regime():
     report = run_projection_check(Circle(1.0), 1.2, n=60, seed=0)
     assert report.verdict == "out-of-regime"
     assert report.towers == {}
+
+
+def _projection_ranks(model, cloud, beta):
+    """Composite ranks of the projection route, composed before homology and
+    in two steps through the subdivision's own basis."""
+    metric = model.geodesic_metric(cloud)
+    complex_ = build_rips(metric, beta, cap=2)
+    system = ConvexCellSystem(cloud, maximal_cliques(metric, beta))
+    nerve = build_nerve(system, cap=2)
+    sd, carriers = barycentric_subdivision(complex_)
+    base_src = homology_basis(complex_, 1)
+    base_nerve = homology_basis(nerve.complex, 1)
+    carrier_map = carrier_map_to_nerve(sd, carriers, system, nerve)
+    sub_cols = subdivision_chain_columns(complex_, sd, 1)
+
+    composed = composed_chain_columns(carrier_map, sub_cols)
+    once = induced_from_chain_columns(composed, base_src, base_nerve, 1)
+
+    base_sd = homology_basis(sd, 1)
+    sub_mats = induced_from_chain_columns(sub_cols, base_src, base_sd, 1)
+    carrier_mats = induced_map_on_bases(carrier_map, base_sd, base_nerve)
+    two_step = [carrier_mats[m].matmul(sub_mats[m]) for m in range(2)]
+    return [m.rank() for m in once], [m.rank() for m in two_step]
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    model=st.sampled_from([Circle(1.0), theta_graph()]),
+    n=st.integers(12, 40),
+    beta=st.sampled_from([0.3, 0.5, 0.8]),
+    seed=st.integers(0, 5),
+)
+def test_composed_chain_map_has_the_two_step_ranks(model, n, beta, seed):
+    cloud = sample(SamplerSpec(model, n, seed=seed))
+    once, two_step = _projection_ranks(model, cloud, beta)
+    assert once == two_step
+
+
+def test_projection_check_ranks_match_the_two_step_route():
+    model = Circle(1.0)
+    report = run_projection_check(model, 0.4, n=60, seed=0)
+    cloud = _sample_stages(model, 60, 0, "stratified", (0.4,), (0.0,))[0][0]
+    once, two_step = _projection_ranks(model, cloud, 0.4)
+    assert report.numbers["composite_rank"] == once == two_step == [1, 1]
+
+
+def test_projection_check_takes_no_basis_of_the_subdivision(monkeypatch):
+    made = {}
+    based = []
+
+    def keep(name, fn):
+        def wrapper(*args, **kwargs):
+            made[name] = out = fn(*args, **kwargs)
+            return out
+
+        monkeypatch.setattr(ripshadow.limits, name, wrapper)
+
+    for name in ("build_rips", "build_nerve"):
+        keep(name, getattr(ripshadow.limits, name))
+    basis = ripshadow.limits.homology_basis
+    monkeypatch.setattr(
+        ripshadow.limits,
+        "homology_basis",
+        lambda complex_, up_to: based.append(complex_) or basis(complex_, up_to),
+    )
+    report = run_projection_check(Circle(1.0), 0.4, n=60, seed=0)
+    assert report.verdict == "consistent"
+    assert len(based) == 2
+    assert based[0] is made["build_rips"]
+    assert based[1] is made["build_nerve"].complex
