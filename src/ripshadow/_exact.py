@@ -1,11 +1,16 @@
 """Exact rational predicates over binary-float inputs.
 
-Floats are converted to Fractions exactly (no rounding), so every decision
-here is a statement about the actual stored coordinates.
+Every decision is one phase-1 simplex solved by integer pivoting on exactly
+scaled float inputs: each row is scaled to integers by the lcm of its
+entries' denominators (a power of two for floats), and the tableau stays
+integral by fraction-free pivoting (Bareiss, as in Avis's ``lrs``).  Nothing
+is rounded, so every decision is a statement about the actual stored
+coordinates.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -14,66 +19,81 @@ def fractionize(row) -> list[Fraction]:
     return [Fraction(float(v)) for v in row]
 
 
-def feasible_nonneg_eq(rows: list[list[Fraction]], rhs: list[Fraction]) -> bool:
-    """Is there x >= 0 with A x = b?  Phase-1 simplex with Bland's rule."""
+def _python_floats(points: np.ndarray) -> list:
+    """The array as nested lists of Python floats.  The first NaN or
+    infinity in row order raises what its exact conversion raises:
+    ValueError for NaN, OverflowError for an infinity."""
+    if not np.isfinite(points).all():
+        for v in points.flat:
+            float(v).as_integer_ratio()
+    return points.tolist()
+
+
+def _integer_row(row, b) -> list[int]:
+    """The row and its right-hand side b, times the lcm of their
+    denominators, negated when b is negative."""
+    pairs = [v.as_integer_ratio() for v in row]
+    pairs.append(b.as_integer_ratio())
+    scale = lcm(*[d for _, d in pairs])
+    out = [num * (scale // d) for num, d in pairs]
+    return [-v for v in out] if out[-1] < 0 else out
+
+
+def feasible_nonneg_eq(rows: list[list], rhs: list) -> bool:
+    """Is there x >= 0 with A x = b?  Phase-1 simplex with Bland's rule.
+
+    Entries are ints, Fractions or floats, each taken exactly.  Scaling a
+    row and its right-hand side changes no solution, so each row is scaled
+    to integers.  The tableau holds [A | b] and a last row of reduced costs
+    and -w, w the sum of the artificial variables that form the starting
+    basis; every entry is its true value times ``det``, the last pivot, so a
+    pivot keeps it integral with one exact division.  An artificial that
+    leaves the basis is dropped: the system is feasible exactly when the
+    remaining artificials can be driven to zero.
+    """
     m = len(rows)
     if m == 0:
         return True
     n = len(rows[0])
-    tab = []
-    b = []
-    for i in range(m):
-        r = list(rows[i])
-        bi = rhs[i]
-        if bi < 0:
-            r = [-v for v in r]
-            bi = -bi
-        tab.append(r + [Fraction(1) if j == i else Fraction(0) for j in range(m)])
-        b.append(bi)
-    basis = [n + i for i in range(m)]
-    # objective w = obj + sum(cost[j] * x_j) over nonbasic x; the basic
-    # artificial columns start with reduced cost zero
-    cost = [Fraction(0)] * (n + m)
-    obj = Fraction(0)
-    for i in range(m):
-        for j in range(n):
-            cost[j] -= tab[i][j]
-        obj += b[i]
-    while True:
+    tab = [_integer_row(row, b) for row, b in zip(rows, rhs)]
+    tab.append([-sum(col) for col in zip(*tab)])
+    obj = tab[-1]
+    basis = list(range(n, n + m))  # the artificials get the indices after x
+    det = 1
+    while obj[-1]:  # w > 0
         enter = -1
-        for j in range(n + m):  # Bland: smallest index with negative cost
-            if cost[j] < 0:
+        for j in range(n):  # Bland: smallest index with negative cost
+            if obj[j] < 0:
                 enter = j
                 break
         if enter < 0:
-            return obj == 0
+            return False
+        # min-ratio test on b_i / a_i over a_i > 0, by cross-multiplication
         leave = -1
-        best = None
         for i in range(m):
-            if tab[i][enter] > 0:
-                ratio = b[i] / tab[i][enter]
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leave]
-                ):
-                    best = ratio
+            a = tab[i][enter]
+            if a > 0:
+                if leave < 0:
+                    leave = i
+                    continue
+                ours = tab[i][-1] * tab[leave][enter]
+                theirs = tab[leave][-1] * a
+                if ours < theirs or (ours == theirs and basis[i] < basis[leave]):
                     leave = i
         if leave < 0:
             # minimization of a sum of nonnegative variables cannot be
             # unbounded; defensive guard
             raise ArithmeticError("phase-1 simplex reported an unbounded column")
-        piv = tab[leave][enter]
-        tab[leave] = [v / piv for v in tab[leave]]
-        b[leave] = b[leave] / piv
-        for i in range(m):
-            if i != leave and tab[i][enter] != 0:
+        prow = tab[leave]
+        p = prow[enter]  # positive, like det: every division below is exact
+        for i in range(m + 1):
+            if i != leave:
                 f = tab[i][enter]
-                tab[i] = [v - f * w for v, w in zip(tab[i], tab[leave])]
-                b[i] = b[i] - f * b[leave]
-        f = cost[enter]
-        if f != 0:
-            cost = [v - f * w for v, w in zip(cost, tab[leave])]
-            obj = obj + f * b[leave]
+                tab[i] = [(v * p - f * w) // det for v, w in zip(tab[i], prow)]
+        obj = tab[-1]
+        det = p
         basis[leave] = enter
+    return True
 
 
 def hulls_common_point(cells: list[np.ndarray]) -> bool:
@@ -95,43 +115,35 @@ def hulls_common_point(cells: list[np.ndarray]) -> bool:
     if k == 1:
         return True
     sizes = [m.shape[0] for m in mats]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    total = int(offsets[-1])
-    frac_cells = [[fractionize(row) for row in m] for m in mats]
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    offsets = np.concatenate([[0], np.cumsum(sizes)]).tolist()
+    total = offsets[-1]
+    # coordinate-major: cols[ci][c] lists cell ci's c-th coordinates
+    cols = [list(zip(*_python_floats(m))) for m in mats]
+    rows: list[list] = []
+    rhs: list = []
     for ci in range(k):
-        row = [Fraction(0)] * total
-        for t in range(sizes[ci]):
-            row[int(offsets[ci]) + t] = Fraction(1)
+        row = [0] * total
+        row[offsets[ci] : offsets[ci + 1]] = [1] * sizes[ci]
         rows.append(row)
-        rhs.append(Fraction(1))
+        rhs.append(1)
     for ci in range(1, k):
         for c in range(dim):
-            row = [Fraction(0)] * total
-            for t in range(sizes[0]):
-                row[int(offsets[0]) + t] = frac_cells[0][t][c]
-            for t in range(sizes[ci]):
-                row[int(offsets[ci]) + t] = -frac_cells[ci][t][c]
+            row = [0] * total
+            row[: sizes[0]] = cols[0][c]
+            row[offsets[ci] : offsets[ci + 1]] = [-v for v in cols[ci][c]]
             rows.append(row)
-            rhs.append(Fraction(0))
+            rhs.append(0)
     return feasible_nonneg_eq(rows, rhs)
 
 
 def point_in_hull(point, vertices) -> bool:
     """Is the point a convex combination of the vertices?  Exact."""
     verts = np.atleast_2d(np.asarray(vertices, dtype=float))
-    p = fractionize(np.asarray(point, dtype=float))
+    p = _python_floats(np.asarray(point, dtype=float))
     k, dim = verts.shape
     if len(p) != dim:
         raise ValueError("dimension mismatch")
-    fr = [fractionize(row) for row in verts]
-    rows = [[Fraction(1)] * k]
-    rhs = [Fraction(1)]
-    for c in range(dim):
-        rows.append([fr[t][c] for t in range(k)])
-        rhs.append(p[c])
-    return feasible_nonneg_eq(rows, rhs)
+    return feasible_nonneg_eq([[1] * k, *zip(*_python_floats(verts))], [1, *p])
 
 
 def segments_intersect(a0, a1, b0, b1) -> bool:

@@ -396,6 +396,14 @@ def _trefoil_d2(u, scale):
     )
 
 
+def _second_to_eighth_nearest(d2: np.ndarray) -> np.ndarray:
+    """Columns of the 2nd to 8th smallest entries of each row of d2, by
+    value: a partition picks the nine smallest, and only those are sorted."""
+    nine = np.argpartition(d2, 8, axis=1)[:, :9]
+    order = np.argsort(np.take_along_axis(d2, nine, axis=1), axis=1)
+    return np.take_along_axis(nine, order[:, 1:8], axis=1)
+
+
 class Trefoil(Model):
     """Trefoil knot  scale * (sin u + 2 sin 2u, cos u - 2 cos 2u, -sin 3u).
 
@@ -474,7 +482,7 @@ class Trefoil(Model):
             # summed coordinate by coordinate, in np.sum's order, as 2-d arrays
             d2 = sum((pts[:, c] - X[blk, c, None]) ** 2 for c in range(3))
             best[blk] = np.argmin(d2, axis=1)
-            near[blk] = np.argsort(d2, axis=1)[:, 1:8]
+            near[blk] = _second_to_eighth_nearest(d2)
             near_d2[blk] = np.take_along_axis(d2, near[blk], axis=1)
         u, f = self._golden(X, u_grid[best] - 2 * h, u_grid[best] + 2 * h)
         # ambiguity: another scan minimum, far away in parameter, equally close

@@ -7,6 +7,7 @@ Budgets are hard limits; the oracles are for desk-scale cross-checks.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -129,6 +130,70 @@ def brute_barycentric_subdivision(
             groups.setdefault(len(ch) - 1, set()).add(tuple(sorted(ch)))
     simplices = {d: sorted(g) for d, g in groups.items()}
     return SimplicialComplex(len(carriers), complex_.cap, simplices), carriers
+
+
+def brute_feasible_nonneg_eq(rows: list[list[Fraction]], rhs: list[Fraction]) -> bool:
+    """Is there x >= 0 with A x = b?  Phase-1 simplex with Bland's rule on a
+    Fraction tableau that keeps every artificial column and normalizes the
+    pivot row; entries must be Fractions."""
+    m = len(rows)
+    if m == 0:
+        return True
+    n = len(rows[0])
+    tab = []
+    b = []
+    for i in range(m):
+        r = list(rows[i])
+        bi = rhs[i]
+        if bi < 0:
+            r = [-v for v in r]
+            bi = -bi
+        tab.append(r + [Fraction(1) if j == i else Fraction(0) for j in range(m)])
+        b.append(bi)
+    basis = [n + i for i in range(m)]
+    # objective w = obj + sum(cost[j] * x_j) over nonbasic x; the basic
+    # artificial columns start with reduced cost zero
+    cost = [Fraction(0)] * (n + m)
+    obj = Fraction(0)
+    for i in range(m):
+        for j in range(n):
+            cost[j] -= tab[i][j]
+        obj += b[i]
+    while True:
+        enter = -1
+        for j in range(n + m):  # Bland: smallest index with negative cost
+            if cost[j] < 0:
+                enter = j
+                break
+        if enter < 0:
+            return obj == 0
+        leave = -1
+        best = None
+        for i in range(m):
+            if tab[i][enter] > 0:
+                ratio = b[i] / tab[i][enter]
+                if best is None or ratio < best or (
+                    ratio == best and basis[i] < basis[leave]
+                ):
+                    best = ratio
+                    leave = i
+        if leave < 0:
+            # minimization of a sum of nonnegative variables cannot be
+            # unbounded; defensive guard
+            raise ArithmeticError("phase-1 simplex reported an unbounded column")
+        piv = tab[leave][enter]
+        tab[leave] = [v / piv for v in tab[leave]]
+        b[leave] = b[leave] / piv
+        for i in range(m):
+            if i != leave and tab[i][enter] != 0:
+                f = tab[i][enter]
+                tab[i] = [v - f * w for v, w in zip(tab[i], tab[leave])]
+                b[i] = b[i] - f * b[leave]
+        f = cost[enter]
+        if f != 0:
+            cost = [v - f * w for v, w in zip(cost, tab[leave])]
+            obj = obj + f * b[leave]
+        basis[leave] = enter
 
 
 def brute_nerve(system: ConvexCellSystem, cap: int = 2) -> SimplicialComplex:

@@ -139,6 +139,15 @@ def _check_rows(rows: np.ndarray, d: int, n: int) -> None:
         raise ValueError(f"vertex out of range in {s}")
 
 
+def _check_singletons(rows: dict[int, np.ndarray], n: int) -> None:
+    """Raise naming the first vertex of 0..n-1 whose singleton is missing;
+    the vertex rows must be in range."""
+    present = np.zeros(n, bool)
+    present[rows.get(0, np.empty((0, 1), np.int64))[:, 0]] = True
+    if not present.all():
+        raise ValueError(f"vertex singleton [{int(np.argmin(present))}] missing")
+
+
 def _check_header(n: int, cap: int, dims) -> None:
     """Raise for a negative n or cap, an n beyond int64, or a dimension above cap."""
     if n < 0 or cap < 0:
@@ -151,7 +160,8 @@ def _check_header(n: int, cap: int, dims) -> None:
 
 
 class SimplicialComplex:
-    """Finite simplicial complex on vertices 0..n-1, capped at dimension ``cap``.
+    """Finite simplicial complex on vertices 0..n-1, capped at dimension ``cap``;
+    every vertex is a 0-simplex of it.
 
     Each dimension d is held as an (m, d+1) int64 array of lexicographically
     sorted rows, indexed by the sorted keys of the module docstring.
@@ -161,7 +171,9 @@ class SimplicialComplex:
 
     def __init__(self, n: int, cap: int, simplices: dict[int, list[tuple[int, ...]]]):
         _check_header(n, cap, simplices)
-        self._setup(n, cap, {d: _rows_of(g, d, n) for d, g in simplices.items()})
+        rows = {d: _rows_of(g, d, n) for d, g in simplices.items()}
+        _check_singletons(rows, n)
+        self._setup(n, cap, rows)
         self._simplices = simplices
 
     @classmethod
@@ -170,6 +182,7 @@ class SimplicialComplex:
         _check_header(n, cap, rows)
         for d, r in rows.items():
             _check_rows(r, d, n)
+        _check_singletons(rows, n)
         cx = cls.__new__(cls)
         cx._setup(n, cap, rows)
         return cx
@@ -307,12 +320,6 @@ class SimplicialComplex:
             rows[size - 1] = np.empty((int(rank.max()) + 1, size), np.int64)
             rows[size - 1][rank] = group
         cx = cls._from_rows(n, cap, rows)
-        # the vertex rows are sorted, distinct and below n: the first gap is
-        # the first missing singleton
-        have = rows.get(0, np.empty((0, 1), np.int64))[:, 0]
-        if len(have) < n:
-            gap = np.flatnonzero(have != np.arange(len(have)))
-            raise ValueError(f"vertex singleton [{int(gap[0]) if gap.size else len(have)}] missing")
         cx.validate_face_closed()
         return cx
 

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ripshadow import models
 from ripshadow.cli import _points_csv, _write_text
+from ripshadow.limits import measured_density
 from ripshadow.models import (
     AmbiguousProjectionError,
     Circle,
@@ -27,6 +29,7 @@ from ripshadow.models import (
     theta_graph,
 )
 from ripshadow.oracle import brute_curve_projection
+from ripshadow.reconstruct import Polyline, _hausdorff_to_model, order_by_projection
 
 
 def _circle_cloud(n: int, r: float = 1.0) -> PointCloud:
@@ -291,6 +294,46 @@ def test_trefoil_batch_keeps_the_ambiguity_of_the_symmetry_axis():
     with pytest.raises(AmbiguousProjectionError) as info:
         t.project_many(X)
     assert info.value.row == 35
+
+
+def test_partial_neighbour_sort_matches_a_full_sort(monkeypatch):
+    """Points, parameters, distances and the first ambiguous row equal those
+    of a full argsort of the scan distances on a trefoil rebuild's sample
+    (n = 141, tau = 0.01, seed 0), on its Hausdorff walk, and on the sample
+    followed by points of the z-axis."""
+    t = Trefoil(1.0)
+    cloud = sample(SamplerSpec(t, 141, tau=0.01, seed=0))
+    order, params = order_by_projection(t, cloud)
+    walks = []
+    batch = t.project_many
+    monkeypatch.setattr(t, "project_many", lambda X: walks.append(X) or batch(X))
+    _hausdorff_to_model(t, Polyline(cloud.points[order], closed=True), measured_density(t, params))
+    monkeypatch.undo()
+    z = np.linspace(-3.0, 3.0, 61)
+    axis = np.column_stack([np.zeros_like(z), np.zeros_like(z), z])
+    inputs = [cloud.points, walks[0], np.concatenate([cloud.points[:40], axis])]
+
+    def outcomes():
+        out = []
+        for X in inputs:
+            try:
+                out.append(t.project_many(X))
+            except AmbiguousProjectionError as exc:
+                out.append(exc.row)
+        return out
+
+    # without ties the nearest seven after the first are one set
+    d2 = np.random.default_rng(0).random((64, 4096))
+    assert np.array_equal(
+        np.sort(models._second_to_eighth_nearest(d2), axis=1),
+        np.sort(np.argsort(d2, axis=1)[:, 1:8], axis=1),
+    )
+    partial = outcomes()
+    monkeypatch.setattr(models, "_second_to_eighth_nearest", lambda d2: np.argsort(d2, axis=1)[:, 1:8])
+    full = outcomes()
+    assert len(walks[0]) > 2000 and partial[2] == full[2] == 40
+    for got, ref in zip(partial[:2], full[:2]):
+        assert all(np.array_equal(a, b) for a, b in zip(got, ref))
 
 
 def test_trefoil_constants_are_stable():

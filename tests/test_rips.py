@@ -101,6 +101,24 @@ def test_malformed_simplices_are_named(simplices, message):
         SimplicialComplex(3, 2, simplices)
 
 
+@pytest.mark.parametrize(
+    "simplices, message",
+    [
+        ({0: [(0,)]}, "vertex singleton [1] missing"),
+        ({0: [(0,), (2,)], 1: [(0, 2)]}, "vertex singleton [1] missing"),
+        ({0: [(0,), (1,)], 1: [(0, 1)]}, "vertex singleton [2] missing"),
+        ({1: [(0, 1)]}, "vertex singleton [0] missing"),
+    ],
+    ids=["first-only", "middle", "last", "no-vertices"],
+)
+def test_missing_vertex_singletons_are_named(simplices, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SimplicialComplex(3, 1, simplices)
+    rows = {d: np.array(g, dtype=np.int64).reshape(len(g), d + 1) for d, g in simplices.items()}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SimplicialComplex._from_rows(3, 1, rows)
+
+
 def test_json_load_sorts_and_deduplicates():
     cx = _closure(5, 2, [(0, 1, 2), (1, 3), (2, 3, 4)])
     flat = cx.to_json_dict()["simplices"]
@@ -118,6 +136,18 @@ def test_json_load_sorts_and_deduplicates():
             SimplicialComplex.from_json_dict({"n": 3, "cap": 2, "simplices": bad})
 
 
+def _closure_on_arrays(n: int, cap: int, tops, missing=None) -> SimplicialComplex:
+    """``_closure`` of the tops and of every vertex 0..n-1, less the face
+    ``missing``; the n singletons are one array, not n tuples."""
+    faces: dict[int, set] = {}
+    for top in tops:
+        for k in range(2, len(top) + 1):
+            faces.setdefault(k - 1, set()).update(combinations(top, k))
+    rows = {d: np.array(sorted(g - {missing}), dtype=np.int64) for d, g in faces.items()}
+    rows[0] = np.arange(n, dtype=np.int64)[:, None]
+    return SimplicialComplex._from_rows(n, cap, rows)
+
+
 def test_keys_are_exact_for_large_vertex_ids():
     # a base-n key of a 3-simplex on n = 2**22 vertices needs 88 bits; cut
     # to 64, (v0, b, c, d) would match (v0', b, c, d) for any v0, v0', and
@@ -125,15 +155,13 @@ def test_keys_are_exact_for_large_vertex_ids():
     n = 2**22
     tet = (2**21, 2**21 + 2**20 + 1, n - 2, n - 1)
     twin = (2**21 + 1, n - 2, n - 1)  # tet[1:] with 2**20 taken off its first vertex
-    whole = _closure(n, 3, [tet, twin])
+    whole = _closure_on_arrays(n, 3, [tet, twin])
     whole.validate_face_closed()
     assert whole.has_simplex(tet) and whole.has_simplex(tet[1:]) and whole.has_simplex(twin)
     assert not whole.has_simplex((0,) + tet[1:])
     assert not whole.has_simplex((tet[1] + 2**20, n - 2, n - 1))
     assert not whole.has_simplex((tet[0] - 2**20, tet[1], n - 2))
-    holed = SimplicialComplex(
-        n, 3, {d: [s for s in g if s != tet[1:]] for d, g in whole.simplices.items()}
-    )
+    holed = _closure_on_arrays(n, 3, [tet, twin], missing=tet[1:])
     with pytest.raises(ValueError, match=re.escape(f"face {tet[1:]} of {tet} missing")):
         holed.validate_face_closed()
     tetra = _closure(4, 3, [(0, 1, 2, 3)])
