@@ -465,8 +465,6 @@ def barycentric_subdivision(
     offsets, total = _vertex_offsets(complex_)
     blocks: dict[int, list[np.ndarray]] = {}
     for d, rows in sorted(complex_._rows.items()):
-        if not len(rows):
-            continue
         faces = _face_vertices(complex_, offsets, d)
         for k, flags in _flag_patterns(d).items():
             blocks.setdefault(k, []).extend(
@@ -476,8 +474,8 @@ def barycentric_subdivision(
     for k, parts in sorted(blocks.items()):
         rows = np.concatenate(parts)
         sd_rows[k] = rows[np.lexsort(rows.T[::-1])]
-    sd = SimplicialComplex._from_rows(total, complex_.cap, sd_rows)
-    carriers = [s for d in sorted(complex_._rows) for s in complex_.simplices[d]]
+    sd = SimplicialComplex(total, complex_.cap, sd_rows)
+    carriers = [tuple(s) for d in sorted(complex_._rows) for s in complex_._rows[d].tolist()]
     return sd, carriers
 
 
@@ -493,7 +491,7 @@ def subdivision_chain_columns(
     offsets, _ = _vertex_offsets(complex_)
     cols_by_dim: dict[int, list[int]] = {}
     for m in range(up_to + 1):
-        if not len(complex_._rows.get(m, ())):
+        if m not in complex_._rows:
             cols_by_dim[m] = []
             continue
         faces = _face_vertices(complex_, offsets, m)

@@ -69,17 +69,18 @@ def _dense_rank_mod2(mat: np.ndarray) -> int:
 
 def brute_homology(complex_: SimplicialComplex, m: int) -> int:
     """Betti number in one dimension by dense mod-2 Gaussian elimination."""
-    total = sum(len(g) for g in complex_.simplices.values())
+    total = sum(complex_.counts())
     if total > 5000:
         raise OracleBudgetError(
             f"brute_homology handles at most 5000 simplices, got {total}"
         )
     if m > complex_.cap - 1:
         raise ValueError(f"dimension {m} not certified at cap {complex_.cap}")
+    simplices = complex_.simplices
 
     def boundary_matrix(k: int) -> np.ndarray:
-        rows = complex_.simplices.get(k - 1, [])
-        cols = complex_.simplices.get(k, [])
+        rows = simplices.get(k - 1, [])
+        cols = simplices.get(k, [])
         idx = {s: i for i, s in enumerate(rows)}
         mat = np.zeros((len(rows), len(cols)), dtype=np.uint8)
         for j, s in enumerate(cols):
@@ -87,7 +88,7 @@ def brute_homology(complex_: SimplicialComplex, m: int) -> int:
                 mat[idx[face], j] ^= 1
         return mat
 
-    n_m = len(complex_.simplices.get(m, []))
+    n_m = len(simplices.get(m, []))
     rank_in = _dense_rank_mod2(boundary_matrix(m)) if m > 0 else 0
     rank_out = _dense_rank_mod2(boundary_matrix(m + 1)) if m + 1 <= complex_.cap else 0
     return n_m - rank_in - rank_out
@@ -105,8 +106,9 @@ def brute_barycentric_subdivision(
     """
     carriers = []
     vertex_of: dict[tuple[int, ...], int] = {}
-    for d in sorted(complex_.simplices):
-        for s in complex_.simplices[d]:
+    simplices = complex_.simplices
+    for d in sorted(simplices):
+        for s in simplices[d]:
             vertex_of[s] = len(carriers)
             carriers.append(s)
 

@@ -13,18 +13,22 @@ that extend a simplex is its parent's mask AND the row of its last vertex.
 ``np.nonzero`` reads each level in row-major order, so the per-vertex
 blocks, concatenated in vertex order, are already lexicographic.
 
-Each dimension of a complex is also held as an (m, d+1) ``int64`` array,
-one row per simplex, and indexed by one sorted ``int64`` key array.  A
-packed key (Ripser's combinatorial number system, Bauer 2021) outgrows 64
-bits once C(n, d+1) does, so the keys are ranks, built column by column: the
-code of a row's (k+1)-prefix is ``rank of its k-prefix * len(values) + rank
-of its k-th vertex among the distinct values of column k``, and the rank of
-the prefix is the position of that code among the distinct codes.  Both
-factors are below the number m of simplices, so every code is below m**2,
-which fits ``int64`` for every n, dimension and m that the constructor
-accepts.  Membership, face lookups and the images of simplicial maps follow
-the same codes through ``np.searchsorted``, one column at a time, for whole
-arrays of simplices at once.
+Each dimension of a complex is held as an (m, d+1) ``int64`` array, one
+row per simplex, and indexed by one sorted ``int64`` key array.  Every
+complex is built by ``SimplicialComplex(n, cap, rows)``, which checks that
+each row is strictly increasing and that the rows are in strictly
+increasing lexicographic order.  A packed key (Ripser's combinatorial
+number system, Bauer 2021) outgrows 64 bits once C(n, d+1) does, so the
+keys are ranks, built column by column: the code of a row's (k+1)-prefix is
+``rank of its k-prefix * len(values) + rank of its k-th vertex among the
+distinct values of column k``, and the rank of the prefix is the position
+of that code among the distinct codes; the rank of a whole row is its
+position in the array.  Both factors are below the number m of simplices,
+so every code is below m**2, which fits ``int64`` for every n, dimension
+and m that the constructor accepts.  Membership, face lookups and the
+images of simplicial maps follow the same codes through
+``np.searchsorted``, one column at a time, for whole arrays of simplices
+at once.
 """
 from __future__ import annotations
 
@@ -86,50 +90,16 @@ def _prefix_ranks(rows: np.ndarray) -> tuple[list, np.ndarray]:
     return levels, rank
 
 
-def _as_tuples(rows: np.ndarray) -> list[tuple[int, ...]]:
-    """The rows of an (m, k) integer array, k >= 1, as tuples of Python ints.
-
-    Within a column equal entries share one int object, so the list costs
-    about what it did when simplices were built by extending tuples; one
-    column at a time keeps the temporary arrays at m entries.
-    """
-    cols = []
-    for col in rows.T:
-        values, inverse = np.unique(col, return_inverse=True)
-        cols.append(values.astype(object)[inverse].tolist())
-    return list(zip(*cols))
-
-
-def _rows_of(group: list, d: int, n: int) -> np.ndarray:
-    """The simplices of dimension d as an (m, d+1) int64 array, validated.
-
-    The error names the first simplex that has the wrong length, is not
-    strictly increasing, or has a vertex outside 0..n-1.
-    """
-    m = len(group)
-    sizes = np.fromiter(map(len, group), np.int64, m)
-    wrong = np.flatnonzero(sizes != d + 1) if d >= 0 else np.arange(m)
-    stop = int(wrong[0]) if wrong.size else m
-    try:
-        rows = np.fromiter(chain.from_iterable(group[:stop]), np.int64, stop * (d + 1))
-    except OverflowError:
-        # a vertex beyond int64 is out of range; exact integers find the
-        # first bad simplex, which may be an earlier malformed one
-        rows = np.array(group[:stop], dtype=object)
-    rows = rows.reshape(stop, max(d + 1, 0))
-    _check_rows(rows, d, n)
-    if stop < m:
-        raise ValueError(f"malformed simplex {group[stop]} in dimension {d}")
-    return rows
-
-
 def _check_rows(rows: np.ndarray, d: int, n: int) -> None:
     """Raise for the first row that is not strictly increasing or has a
-    vertex outside 0..n-1."""
+    vertex outside 0..n-1, then for the first two rows that are not in
+    strictly increasing lexicographic order."""
     if len(rows) > _MAX_SIMPLICES:
         raise ValueError(f"more than {_MAX_SIMPLICES} simplices in dimension {d}")
     if not len(rows):
         return
+    if d < 0:
+        raise ValueError(f"malformed simplex () in dimension {d}")
     malformed = np.any(rows[:, 1:] <= rows[:, :-1], axis=1)
     bad = np.flatnonzero(malformed | (rows[:, 0] < 0) | (rows[:, -1] >= n))
     if bad.size:
@@ -137,6 +107,16 @@ def _check_rows(rows: np.ndarray, d: int, n: int) -> None:
         if malformed[bad[0]]:
             raise ValueError(f"malformed simplex {s} in dimension {d}")
         raise ValueError(f"vertex out of range in {s}")
+    # row i precedes row i+1, decided from the last column to the first
+    ahead = rows[:-1, d] < rows[1:, d]
+    for c in range(d - 1, -1, -1):
+        a, b = rows[:-1, c], rows[1:, c]
+        ahead = (a < b) | ((a == b) & ahead)
+    wrong = np.flatnonzero(~ahead)
+    if wrong.size:
+        i = int(wrong[0])
+        s, t = (tuple(r) for r in rows[i : i + 2].tolist())
+        raise ValueError(f"unsorted or repeated simplices {s}, {t} in dimension {d}")
 
 
 def _check_singletons(rows: dict[int, np.ndarray], n: int) -> None:
@@ -163,43 +143,30 @@ class SimplicialComplex:
     """Finite simplicial complex on vertices 0..n-1, capped at dimension ``cap``;
     every vertex is a 0-simplex of it.
 
-    Each dimension d is held as an (m, d+1) int64 array of lexicographically
-    sorted rows, indexed by the sorted keys of the module docstring.
-    ``simplices`` maps dimension to the same simplices as a sorted list of
-    vertex tuples; a complex built from arrays forms it on first read.
+    ``rows`` maps each dimension d to its simplices as an (m, d+1) integer
+    array (or a list of equal-length tuples), rows strictly increasing and
+    in strictly increasing lexicographic order; empty dimensions are
+    dropped.  Each dimension is held as an int64 array, indexed by the
+    sorted keys of the module docstring.
     """
 
-    def __init__(self, n: int, cap: int, simplices: dict[int, list[tuple[int, ...]]]):
-        _check_header(n, cap, simplices)
-        rows = {d: _rows_of(g, d, n) for d, g in simplices.items()}
-        _check_singletons(rows, n)
-        self._setup(n, cap, rows)
-        self._simplices = simplices
-
-    @classmethod
-    def _from_rows(cls, n: int, cap: int, rows: dict[int, np.ndarray]) -> "SimplicialComplex":
-        """Complex from lexicographically sorted, distinct (m, d+1) int64 arrays."""
+    def __init__(self, n: int, cap: int, rows: dict[int, np.ndarray]):
         _check_header(n, cap, rows)
+        rows = {d: np.asarray(r, np.int64).reshape(len(r), d + 1) for d, r in rows.items()}
         for d, r in rows.items():
             _check_rows(r, d, n)
-        _check_singletons(rows, n)
-        cx = cls.__new__(cls)
-        cx._setup(n, cap, rows)
-        return cx
-
-    def _setup(self, n: int, cap: int, rows: dict[int, np.ndarray]) -> None:
+        self._rows = {d: r for d, r in rows.items() if len(r)}
+        _check_singletons(self._rows, n)
         self.n = n
         self.cap = cap
-        self._rows = rows
-        self._keys: dict[int, tuple | None] = {}
+        self._keys: dict[int, list | None] = {}
         self._faces: dict[int, np.ndarray] = {}
-        self._simplices: dict[int, list[tuple[int, ...]]] | None = None
 
     @property
     def simplices(self) -> dict[int, list[tuple[int, ...]]]:
-        if self._simplices is None:
-            self._simplices = {d: _as_tuples(r) for d, r in self._rows.items()}
-        return self._simplices
+        """Each dimension's simplices as a sorted list of vertex tuples,
+        formed on every read."""
+        return {d: list(zip(*r.T.tolist())) for d, r in self._rows.items()}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimplicialComplex):
@@ -217,27 +184,23 @@ class SimplicialComplex:
 
     def _locate(self, d: int, rows) -> np.ndarray:
         """Row in dimension d of each row of an (r, d+1) array, or -1 where
-        the row is absent."""
+        the row is absent.  The rows are sorted and distinct, so the rank of
+        a row among them is its position."""
         if d not in self._keys:
             have = self._rows.get(d)
-            self._keys[d] = None
-            if have is not None and len(have):
-                levels, rank = _prefix_ranks(have)
-                where = np.empty(len(levels[-1][1]), np.int64)
-                where[rank] = np.arange(len(have))
-                self._keys[d] = (levels, where)
+            self._keys[d] = None if have is None else _prefix_ranks(have)[0]
         rows = np.asarray(rows, dtype=np.int64)
         pos = np.full(len(rows), -1, np.int64)
-        if self._keys[d] is None:
+        levels = self._keys[d]
+        if levels is None:
             return pos
-        levels, where = self._keys[d]
         rank = np.zeros(len(rows), np.int64)
         hit = np.ones(len(rows), bool)
         for (values, codes), col in zip(levels, rows.T):
             at, there = _find(values, col)
             rank, known = _find(codes, rank * len(values) + at)
             hit &= there & known
-        pos[hit] = where[rank[hit]]
+        pos[hit] = rank[hit]
         return pos
 
     def has_simplex(self, s: tuple[int, ...]) -> bool:
@@ -250,8 +213,7 @@ class SimplicialComplex:
 
     @property
     def dim(self) -> int:
-        dims = [d for d, r in self._rows.items() if len(r)]
-        return max(dims) if dims else -1
+        return max(self._rows, default=-1)
 
     def face_positions(self, d: int) -> np.ndarray:
         """Entry (i, j): row in dimension d-1 of the j-th face of the i-th
@@ -319,7 +281,7 @@ class SimplicialComplex:
             rank = _prefix_ranks(group)[1]
             rows[size - 1] = np.empty((int(rank.max()) + 1, size), np.int64)
             rows[size - 1][rank] = group
-        cx = cls._from_rows(n, cap, rows)
+        cx = cls(n, cap, rows)
         cx.validate_face_closed()
         return cx
 
@@ -430,7 +392,7 @@ def build_rips(metric: MetricMatrix, beta: float, cap: int = 2) -> SimplicialCom
             ext = ext[parent] & local[last]
     rows = {0: np.arange(n, dtype=np.int64)[:, None]}
     rows.update({d: np.concatenate(b) for d, b in blocks.items() if b})
-    return SimplicialComplex._from_rows(n, cap, rows)
+    return SimplicialComplex(n, cap, rows)
 
 
 def maximal_cliques(

@@ -168,18 +168,15 @@ def build_nerve(system: ConvexCellSystem, cap: int = 2) -> NerveComplex:
     los, his = system.boxes
     # later_nbrs[i] holds the cells j > i that form a nerve edge with i
     later_nbrs: list[set[int]] = [set() for _ in range(k)]
-    simplices: dict[int, list[tuple[int, ...]]] = {0: [(i,) for i in range(k)]}
+    groups: dict[int, list[tuple[int, ...]]] = {0: [(i,) for i in range(k)]}
+    frontier: list[tuple[int, ...]] = []
     if cap >= 1:
-        edges = []
         for i, j in _box_overlap_pairs(los, his):
             if _common_point(system, (i, j)):
                 later_nbrs[i].add(j)
-                edges.append((i, j))
-        if edges:
-            simplices[1] = edges
-    frontier = simplices.get(1, [])
-    dim = 1
-    while dim < cap and frontier:
+                frontier.append((i, j))
+        groups[1] = frontier
+    for dim in range(2, cap + 1):
         nxt = []
         for s in frontier:
             common = later_nbrs[s[-1]]
@@ -188,11 +185,13 @@ def build_nerve(system: ConvexCellSystem, cap: int = 2) -> NerveComplex:
             for j in sorted(common):
                 if _common_point(system, s + (j,)):
                     nxt.append(s + (j,))
-        if nxt:
-            simplices[dim + 1] = sorted(nxt)
+        groups[dim] = sorted(nxt)
         frontier = nxt
-        dim += 1
-    nerve = SimplicialComplex(k, cap, simplices)
+    rows = {
+        d: np.fromiter(chain.from_iterable(g), np.int64).reshape(len(g), d + 1)
+        for d, g in groups.items()
+    }
+    nerve = SimplicialComplex(k, cap, rows)
     nerve.validate_face_closed()
     return NerveComplex(nerve, system.cells)
 

@@ -1,5 +1,6 @@
 """Every module-level function and class of the package, and every method of
-its classes, has a caller in it."""
+its classes, has a caller in it; only the oracle reads the tuple view of a
+complex."""
 
 from __future__ import annotations
 
@@ -33,17 +34,21 @@ def _uses(node: ast.AST, inside: frozenset, out: list) -> None:
         _uses(child, inside, out)
 
 
+def _modules():
+    """(file name, parsed module) of each module of the package."""
+    for fname in sorted(os.listdir(SRC)):
+        if fname.endswith(".py"):
+            with open(os.path.join(SRC, fname)) as fh:
+                yield fname, ast.parse(fh.read())
+
+
 def unreferenced_names() -> list[str]:
     """``module.name`` of each module-level def or class, and
     ``module.Class.method`` of each method, that no code in the package
     refers to, its own definition aside."""
     defs = []  # (qualified name, node)
     uses = []  # (identifier, ids of the enclosing definitions)
-    for fname in sorted(os.listdir(SRC)):
-        if not fname.endswith(".py"):
-            continue
-        with open(os.path.join(SRC, fname)) as fh:
-            tree = ast.parse(fh.read())
+    for fname, tree in _modules():
         _uses(tree, frozenset(), uses)
         module = fname[:-3]
         for node in tree.body:
@@ -84,3 +89,15 @@ def test_every_module_level_name_has_a_caller():
 
 def test_every_method_has_a_caller():
     assert _dead(2) == []
+
+
+def test_only_the_oracle_reads_the_tuple_view():
+    # SimplicialComplex.simplices forms a tuple per simplex on every read;
+    # the package works on the row arrays, and the oracle keeps its own loops
+    readers = []
+    for fname, tree in _modules():
+        uses = []
+        _uses(tree, frozenset(), uses)
+        if fname != "oracle.py" and "simplices" in (name for name, _ in uses):
+            readers.append(fname)
+    assert readers == []

@@ -80,25 +80,48 @@ def test_matches_subset_scan_on_random_clouds(points, cap, data):
         assert fast.face_positions(d).tolist() == want
 
 
+def _as_arrays(groups: dict) -> dict:
+    """The same groups as (m, d+1) int64 arrays."""
+    return {d: np.array(g, dtype=np.int64).reshape(len(g), d + 1) for d, g in groups.items()}
+
+
 @pytest.mark.parametrize(
     "simplices, message",
     [
-        ({0: [(0,), (1,)], 1: [(0, 1, 2)]}, "malformed simplex (0, 1, 2) in dimension 1"),
+        ({0: [(0,), (0,), (1,), (2,)]}, "unsorted or repeated simplices (0,), (0,) in dimension 0"),
         ({1: [(0, 1), (1, 0)]}, "malformed simplex (1, 0) in dimension 1"),
         ({1: [(0, 0)]}, "malformed simplex (0, 0) in dimension 1"),
-        ({1: [(0, 1), (0, 2, 1), (2, 1)]}, "malformed simplex (0, 2, 1) in dimension 1"),
-        ({1: [(2, 1), (0, 2, 1)]}, "malformed simplex (2, 1) in dimension 1"),
-        ({1: [(0, 3), (0, 2, 1)]}, "vertex out of range in (0, 3)"),
+        ({1: [(0, 1), (0, 2), (0, 1)]}, "unsorted or repeated simplices (0, 2), (0, 1)"),
+        ({1: [(0, 1), (0, 2), (0, 2)]}, "unsorted or repeated simplices (0, 2), (0, 2)"),
+        ({1: [(1, 2), (0, 3)]}, "vertex out of range in (0, 3)"),
         ({0: [(0,), (-1,)]}, "vertex out of range in (-1,)"),
-        ({1: [(0, 2**70)]}, f"vertex out of range in (0, {2**70})"),
-        ({1: [(1, 0), (0, 2**70)]}, "malformed simplex (1, 0) in dimension 1"),
+        ({1: [(1, 2), (0, 2)]}, "unsorted or repeated simplices (1, 2), (0, 2)"),
+        ({1: [(1, 0), (0, 1)]}, "malformed simplex (1, 0) in dimension 1"),
         ({-1: [()]}, "malformed simplex () in dimension -1"),
         ({3: []}, "simplex of dimension 3 above cap 2"),
+        ({2: [(0, 1, 2), (0, 1, 2)]}, "unsorted or repeated simplices (0, 1, 2), (0, 1, 2)"),
     ],
 )
 def test_malformed_simplices_are_named(simplices, message):
-    with pytest.raises(ValueError, match=re.escape(message)):
-        SimplicialComplex(3, 2, simplices)
+    for rows in (simplices, _as_arrays(simplices)):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SimplicialComplex(3, 2, rows)
+
+
+def test_order_is_decided_by_the_first_differing_vertex():
+    # the last vertex of (0, 2, 4) is larger and the middle one equal, but
+    # its first is smaller, so it may not follow (1, 2, 3)
+    rows = {0: np.arange(5)[:, None], 2: [(0, 1, 2), (0, 1, 3), (1, 2, 3), (0, 2, 4)]}
+    with pytest.raises(ValueError, match=re.escape("(1, 2, 3), (0, 2, 4) in dimension 2")):
+        SimplicialComplex(5, 2, rows)
+
+
+def test_empty_dimensions_are_dropped():
+    cx = SimplicialComplex(3, 2, {0: [(0,), (1,), (2,)], 1: [], 2: np.empty((0, 3))})
+    assert cx == SimplicialComplex(3, 2, {0: [(0,), (1,), (2,)]})
+    assert cx.simplices == {0: [(0,), (1,), (2,)]}
+    assert cx.dim == 0 and cx.counts() == [3]
+    assert SimplicialComplex(0, 2, {0: []}).simplices == {}
 
 
 @pytest.mark.parametrize(
@@ -112,11 +135,9 @@ def test_malformed_simplices_are_named(simplices, message):
     ids=["first-only", "middle", "last", "no-vertices"],
 )
 def test_missing_vertex_singletons_are_named(simplices, message):
-    with pytest.raises(ValueError, match=re.escape(message)):
-        SimplicialComplex(3, 1, simplices)
-    rows = {d: np.array(g, dtype=np.int64).reshape(len(g), d + 1) for d, g in simplices.items()}
-    with pytest.raises(ValueError, match=re.escape(message)):
-        SimplicialComplex._from_rows(3, 1, rows)
+    for rows in (simplices, _as_arrays(simplices)):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SimplicialComplex(3, 1, rows)
 
 
 def test_json_load_sorts_and_deduplicates():
@@ -145,7 +166,7 @@ def _closure_on_arrays(n: int, cap: int, tops, missing=None) -> SimplicialComple
             faces.setdefault(k - 1, set()).update(combinations(top, k))
     rows = {d: np.array(sorted(g - {missing}), dtype=np.int64) for d, g in faces.items()}
     rows[0] = np.arange(n, dtype=np.int64)[:, None]
-    return SimplicialComplex._from_rows(n, cap, rows)
+    return SimplicialComplex(n, cap, rows)
 
 
 def test_keys_are_exact_for_large_vertex_ids():
