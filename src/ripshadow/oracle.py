@@ -13,7 +13,7 @@ from itertools import combinations
 import numpy as np
 
 from . import _exact
-from .models import MetricMatrix
+from .models import MetricMatrix, _trefoil_d1, _trefoil_point
 from .rips import SimplicialComplex
 from .shadow import ConvexCellSystem
 
@@ -277,3 +277,57 @@ def brute_curve_projection(curve, x, period=2.0 * math.pi, coarse=20_000):
             lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, 200)]
         best = min(best, (float(dd[k]), float(grid[k] % period)))
     return best[1], math.sqrt(best[0])
+
+
+def brute_trefoil_clearance(trefoil) -> tuple[float, float]:
+    """The trefoil's ``(normal clearance, separation)``, scanning every base
+    row against all 4096 scan points, one row at a time."""
+    kappa = trefoil._curvature_max
+    excl = min(0.5 * math.pi / kappa * 0.98, trefoil.length / 4.0)
+    n_base, n_scan = 2048, 4096
+    ub = np.linspace(0.0, 2.0 * math.pi, n_base, endpoint=False)
+    us = np.linspace(0.0, 2.0 * math.pi, n_scan, endpoint=False)
+    base_pts = _trefoil_point(ub, trefoil.scale)
+    base_tan = _trefoil_d1(ub, trefoil.scale)
+    base_tan /= np.linalg.norm(base_tan, axis=-1, keepdims=True)
+    scan_pts = _trefoil_point(us, trefoil.scale)
+    base_arc = trefoil._arc_of_param(ub)
+    scan_arc = trefoil._arc_of_param(us)
+    clearance = math.inf
+    separation = math.inf
+    for i in range(n_base):
+        arc_d = np.abs(scan_arc - base_arc[i]) % trefoil.length
+        arc_d = np.minimum(arc_d, trefoil.length - arc_d)
+        far = arc_d > excl
+        diff = scan_pts - base_pts[i]
+        if np.any(far):
+            separation = min(
+                separation, float(np.min(np.linalg.norm(diff[far], axis=-1)))
+            )
+        g = diff @ base_tan[i]
+        g_next = np.roll(g, -1)
+        cross = far & (np.roll(far, -1)) & (g * g_next <= 0.0) & (g != g_next)
+        idx = np.flatnonzero(cross)
+        if idx.size == 0:
+            continue
+        u_lo = us[idx]
+        u_hi = u_lo + (2.0 * math.pi / n_scan)
+        frac = g[idx] / (g[idx] - g_next[idx])
+        u_zero = u_lo + frac * (u_hi - u_lo)
+        zero_pts = _trefoil_point(u_zero, trefoil.scale)
+        dist = np.linalg.norm(zero_pts - base_pts[i], axis=-1)
+        clearance = min(clearance, float(np.min(dist)))
+    return clearance * 0.995, separation
+
+
+def brute_grid_to_curve(mpts: np.ndarray, curve) -> np.ndarray:
+    """Distance from each row of mpts to a polyline, one edge at a time
+    over every point."""
+    best = np.full(len(mpts), np.inf)
+    for a, b in curve.edges():
+        seg = b - a
+        denom = float(seg @ seg)
+        t = np.clip((mpts - a) @ seg / denom, 0.0, 1.0)
+        proj = a + t[:, None] * seg
+        best = np.minimum(best, np.linalg.norm(mpts - proj, axis=1))
+    return best

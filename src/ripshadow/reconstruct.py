@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from . import _exact
 from .limits import measured_density
@@ -22,6 +23,8 @@ from .models import (
     Condition,
     Model,
     PointCloud,
+    _near_tile_pairs,
+    _tile_spheres,
     check_scale_conditions,
     euclidean_metric,
 )
@@ -135,14 +138,13 @@ def order_by_projection(model: Model, cloud: PointCloud):
 # simplicity of a polyline, decided exactly
 
 
-def _edge_boxes(pts: np.ndarray, closed: bool):
+def _edge_ends(pts: np.ndarray, closed: bool):
+    """Start and end points of every edge, in the order of ``Polyline.edges``."""
     nxt = np.roll(pts, -1, axis=0)
     if not closed:
         nxt = nxt[:-1]
         pts = pts[:-1]
-    lo = np.minimum(pts, nxt)
-    hi = np.maximum(pts, nxt)
-    return lo, hi
+    return pts, nxt
 
 
 def polyline_is_simple(curve: Polyline) -> bool:
@@ -152,7 +154,8 @@ def polyline_is_simple(curve: Polyline) -> bool:
     floats the rational predicates consume, so the prefilter loses nothing."""
     edges = list(curve.edges())
     m = len(edges)
-    for i, j in _box_overlap_pairs(*_edge_boxes(curve.points, curve.closed)):
+    a, b = _edge_ends(curve.points, curve.closed)
+    for i, j in _box_overlap_pairs(np.minimum(a, b), np.maximum(a, b)):
         (a0, a1), (b0, b1) = edges[i], edges[j]
         if j == i + 1:
             # consecutive edges meet at a1 == b0; any further contact
@@ -197,16 +200,60 @@ def _hausdorff_to_model(model: Model, curve: Polyline, zeta: float) -> float:
 
     grid_n = int(math.ceil(model.length / step))
     grid = np.arange(grid_n) * (model.length / grid_n)
-    mpts = model.points_at(grid)
-    best = np.full(grid_n, np.inf)
-    for a, b in segs:
-        seg = b - a
-        denom = float(seg @ seg)
-        t = np.clip((mpts - a) @ seg / denom, 0.0, 1.0)
-        proj = a + t[:, None] * seg
-        best = np.minimum(best, np.linalg.norm(mpts - proj, axis=1))
+    best = _grid_to_curve(model.points_at(grid), curve)
     d_model = float(best.max()) + model.length / grid_n / 2.0
     return max(d_curve, d_model)
+
+
+def _grid_to_curve(mpts: np.ndarray, curve: Polyline, size: int = 16) -> np.ndarray:
+    """Distance from each row of mpts to the polyline.
+
+    Grid points and edges are cut into tiles of ``size``.  Each grid tile
+    is first walked against the edge tile whose centre is nearest; the
+    largest distance found bounds the tile, and only the edge tiles whose
+    spheres come within that bound are walked next.  An edge left out is
+    farther than the bound from every point of the tile, so each entry is
+    the minimum of the same floats as a walk over every edge.
+    """
+    a, b = _edge_ends(curve.points, curve.closed)
+    seg = b - a
+    # matmul runs per edge the BLAS dot of ``seg @ seg`` and, for two or
+    # more points, the matrix-vector product of ``(pts - a) @ seg``, whose
+    # entries do not depend on the other rows: the floats agree
+    denom = np.matmul(seg[:, None], seg[:, :, None])[:, 0, 0]
+    grid_items, edge_items = mpts[:, None], np.stack([a, b], axis=1)
+    best = np.full(len(mpts), np.inf)
+
+    def walk(grid_tiles, edge_tile):
+        """Lower ``best`` on some grid tiles to the edges of one edge tile,
+        4096 grid points at a time to bound the blocks' memory."""
+        k = slice(edge_tile * size, edge_tile * size + size)
+        every = (grid_tiles[:, None] * size + np.arange(size)).ravel()
+        every = every[every < len(mpts)]
+        for lo in range(0, len(every), 4096):
+            rows = every[lo : lo + 4096]
+            if len(rows) == 1 < len(mpts):
+                # a one-row product is a BLAS dot, not the matrix-vector
+                # product of a full walk; a second row keeps that path (its
+                # entries are true edge distances, so no minimum moves)
+                rows = np.array([rows[0], rows[0] - 1 if rows[0] else 1])
+            pts = mpts[rows]
+            lead = np.matmul(pts - a[k, None], seg[k, :, None])[..., 0]
+            t = np.clip(lead / denom[k, None], 0.0, 1.0)
+            proj = a[k, None] + t[..., None] * seg[k, None]
+            dist = np.linalg.norm(pts - proj, axis=-1)
+            best[rows] = np.minimum(best[rows], dist.min(axis=0))
+
+    centres = cdist(_tile_spheres(grid_items, size)[0], _tile_spheres(edge_items, size)[0])
+    nearest = np.argmin(centres, axis=1)
+    for e in np.unique(nearest):
+        walk(np.flatnonzero(nearest == e), e)
+    bound = np.maximum.reduceat(best, np.arange(0, len(mpts), size))
+    rows, cols = _near_tile_pairs(grid_items, edge_items, bound, size)
+    later = cols != nearest[rows]
+    for e in np.unique(cols[later]):
+        walk(rows[later & (cols == e)], e)
+    return best
 
 
 def build_curve_K(

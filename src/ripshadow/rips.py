@@ -100,7 +100,9 @@ def _check_rows(rows: np.ndarray, d: int, n: int) -> None:
         return
     if d < 0:
         raise ValueError(f"malformed simplex () in dimension {d}")
-    malformed = np.any(rows[:, 1:] <= rows[:, :-1], axis=1)
+    malformed = np.zeros(len(rows), bool)
+    for c in range(d):
+        malformed |= rows[:, c + 1] <= rows[:, c]
     bad = np.flatnonzero(malformed | (rows[:, 0] < 0) | (rows[:, -1] >= n))
     if bad.size:
         s = tuple(rows[int(bad[0])].tolist())
@@ -117,6 +119,15 @@ def _check_rows(rows: np.ndarray, d: int, n: int) -> None:
         i = int(wrong[0])
         s, t = (tuple(r) for r in rows[i : i + 2].tolist())
         raise ValueError(f"unsorted or repeated simplices {s}, {t} in dimension {d}")
+
+
+def _integer_rows(rows, d: int) -> np.ndarray:
+    """The rows of dimension d as an (m, d+1) int64 array; raise unless they
+    are integers (an empty group has no vertices to check)."""
+    arr = np.asarray(rows)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValueError(f"non-integer vertices of type {arr.dtype} in dimension {d}")
+    return arr.astype(np.int64, copy=False).reshape(len(arr), d + 1)
 
 
 def _check_singletons(rows: dict[int, np.ndarray], n: int) -> None:
@@ -152,7 +163,7 @@ class SimplicialComplex:
 
     def __init__(self, n: int, cap: int, rows: dict[int, np.ndarray]):
         _check_header(n, cap, rows)
-        rows = {d: np.asarray(r, np.int64).reshape(len(r), d + 1) for d, r in rows.items()}
+        rows = {d: _integer_rows(r, d) for d, r in rows.items()}
         for d, r in rows.items():
             _check_rows(r, d, n)
         self._rows = {d: r for d, r in rows.items() if len(r)}
@@ -185,7 +196,10 @@ class SimplicialComplex:
     def _locate(self, d: int, rows) -> np.ndarray:
         """Row in dimension d of each row of an (r, d+1) array, or -1 where
         the row is absent.  The rows are sorted and distinct, so the rank of
-        a row among them is its position."""
+        a row among them is its position; the vertex rows are 0..n-1."""
+        if d == 0:
+            v = np.asarray(rows, dtype=np.int64)[:, 0]
+            return np.where((v >= 0) & (v < self.n), v, -1)
         if d not in self._keys:
             have = self._rows.get(d)
             self._keys[d] = None if have is None else _prefix_ranks(have)[0]

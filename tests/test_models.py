@@ -7,7 +7,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from scipy.spatial.distance import cdist
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ripshadow import models
@@ -28,7 +29,7 @@ from ripshadow.models import (
     sample,
     theta_graph,
 )
-from ripshadow.oracle import brute_curve_projection
+from ripshadow.oracle import brute_curve_projection, brute_trefoil_clearance
 from ripshadow.reconstruct import Polyline, _hausdorff_to_model, order_by_projection
 
 
@@ -339,11 +340,57 @@ def test_partial_neighbour_sort_matches_a_full_sort(monkeypatch):
 def test_trefoil_constants_are_stable():
     t = Trefoil(1.0)
     assert t.length == pytest.approx(28.8262902, rel=1e-6)
-    assert t.normal_clearance == pytest.approx(1.208265659, rel=1e-6)
-    assert t.tube_radius == pytest.approx(0.5767989182, rel=1e-6)
+    # exact floats: a pruned scan that loses one pair moves a bit here
+    assert t.normal_clearance == 1.2082656589332508
+    assert t.tube_radius == 0.5767989182371627
     assert t.tube_radius < t.normal_clearance
     assert t.betti() == (1, 1)
 
+
+
+@settings(max_examples=4, deadline=None)
+@given(st.floats(-3.0, 3.0))
+@example(math.log10(0.37))
+def test_pruned_clearance_scan_equals_the_full_scan(log_scale):
+    t = Trefoil(10.0**log_scale)
+    assert t._clearance_numbers == brute_trefoil_clearance(t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 70),
+    st.integers(1, 70),
+    st.sampled_from([1, 3, 16]),
+    st.sampled_from(["scalar", "per-tile", "inf"]),
+)
+def test_near_tile_pairs_keep_every_pair_within_the_bound(seed, n_a, n_b, size, kind):
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-3.0, 3.0)
+    shift = rng.normal(size=3) * scale * rng.choice([0.0, 1e3])
+    a = shift + rng.normal(size=(n_a, 3)) * scale
+    b = shift + rng.normal(size=(n_b, 3)) * scale
+    d = cdist(a, b)
+    tiles_a = (n_a + size - 1) // size
+    bound = {
+        "scalar": float(np.quantile(d, rng.uniform())),
+        "per-tile": np.quantile(d, rng.uniform(size=tiles_a)),
+        "inf": math.inf,
+    }[kind]
+    rows, cols = models._near_tile_pairs(a[:, None], b[:, None], bound, size)
+    kept = set(zip(rows.tolist(), cols.tolist()))
+    per_row = np.broadcast_to(bound, (tiles_a,))[np.arange(n_a) // size]
+    i, j = np.nonzero(d <= per_row[:, None])
+    assert set(zip((i // size).tolist(), (j // size).tolist())) <= kept
+    if kind == "inf":
+        assert len(kept) == tiles_a * ((n_b + size - 1) // size)
+    # a segment tile's sphere holds every point of its segments
+    segs = np.stack([a, np.roll(a, 1, axis=0)], axis=1)
+    centres, radii = models._tile_spheres(segs, size)
+    w = rng.uniform(size=(n_a, 1))
+    inner = w * segs[:, 0] + (1.0 - w) * segs[:, 1]
+    assert np.all(np.linalg.norm(inner - centres[np.arange(n_a) // size], axis=1)
+                  <= radii[np.arange(n_a) // size])
 
 def test_theta_graph_length_matches_chord_formula():
     g = theta_graph(segments_per_arc=16)

@@ -22,8 +22,10 @@ from ripshadow.models import (
     Trefoil,
     sample,
 )
+from ripshadow.oracle import brute_grid_to_curve
 from ripshadow.reconstruct import (
     Polyline,
+    _grid_to_curve,
     build_curve_K,
     order_by_projection,
     polyline_is_simple,
@@ -245,6 +247,30 @@ def test_noisy_reconstruction_passes_all_checks():
     # noise amplitude plus density plus chord sag
     assert result.checks["hausdorff_to_model"] <= 0.02 + 0.05 + 0.2**2 / 8.0
 
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.floats(-3.0, 3.0),
+    st.sampled_from(["circle", "trefoil"]),
+    st.integers(3, 200),
+    st.booleans(),
+    st.integers(1, 2500),
+    st.sampled_from([1, 2, 5, 16]),
+)
+def test_pruned_model_walk_equals_the_walk_over_every_edge(
+    seed, log_scale, kind, n, closed, grid_n, size
+):
+    scale = 10.0**log_scale
+    model = Circle(scale) if kind == "circle" else Trefoil(scale)
+    rng = np.random.default_rng(seed)
+    params = np.sort(rng.uniform(0.0, model.length, n))
+    # from tube noise to vertices scattered far off the model
+    noise = rng.normal(size=(n, model.dim)) * 10.0 ** rng.uniform(-4.0, 0.5) * scale
+    curve = Polyline(model.points_at(params) + noise, closed=closed)
+    mpts = model.points_at(np.arange(grid_n) * (model.length / grid_n))
+    assert np.array_equal(_grid_to_curve(mpts, curve, size), brute_grid_to_curve(mpts, curve))
 
 def test_reconstruction_gates_when_noise_crowds_the_scale():
     c = Circle(1.0)

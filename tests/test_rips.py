@@ -108,6 +108,30 @@ def test_malformed_simplices_are_named(simplices, message):
             SimplicialComplex(3, 2, rows)
 
 
+
+@pytest.mark.parametrize(
+    "simplices, message",
+    [
+        ({0: [(0.7,), (1.2,)]}, "non-integer vertices of type float64 in dimension 0"),
+        ({0: [(0,), (1,)], 1: [(0.0, 1.0)]}, "non-integer vertices of type float64 in dimension 1"),
+        ({0: [(True,), (False,)]}, "non-integer vertices of type bool in dimension 0"),
+        ({0: [(0,), (None,)]}, "non-integer vertices of type object in dimension 0"),
+    ],
+    ids=["float", "float-edge", "bool", "object"],
+)
+def test_non_integer_vertices_are_named(simplices, message):
+    arrays = {d: np.asarray(g) for d, g in simplices.items()}
+    for rows in (simplices, arrays):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SimplicialComplex(2, 1, rows)
+
+
+def test_vertex_lookup_is_a_range_test():
+    cx = SimplicialComplex(3, 1, {0: [(0,), (1,), (2,)], 1: [(0, 2)]})
+    assert cx._locate(0, [[-1], [0], [2], [3], [2**62]]).tolist() == [-1, 0, 2, -1, -1]
+    assert SimplicialComplex(0, 1, {})._locate(0, [[0]]).tolist() == [-1]
+    assert cx.has_simplex((2,)) and not cx.has_simplex((3,))
+
 def test_order_is_decided_by_the_first_differing_vertex():
     # the last vertex of (0, 2, 4) is larger and the middle one equal, but
     # its first is smaller, so it may not follow (1, 2, 3)
