@@ -418,17 +418,16 @@ def _tile_spheres(items: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]
     return centres, radii + 1e-9 * (radii + np.linalg.norm(centres, axis=1))
 
 
-def _near_tile_pairs(a: np.ndarray, b: np.ndarray, bound, size: int):
-    """Tile pairs (row tile of a, tile of b) whose spheres may hold a point
+def _near_tile_pairs(centre_d: np.ndarray, ra: np.ndarray, rb: np.ndarray, bound):
+    """Tile pairs (row tile, column tile) whose spheres may hold a point
     pair within ``bound``: those with ``|c1 - c2| - r1 - r2 <= bound``.
 
-    ``a`` and ``b`` are (n, k, dim) item arrays as for ``_tile_spheres``;
-    ``bound`` is one number or one per tile of ``a``.  Returns two index
-    arrays, sorted by row tile.
+    ``centre_d`` is the ``cdist`` of the two tilings' sphere centres and
+    ``ra``, ``rb`` their radii, as ``_tile_spheres`` gives them; ``bound``
+    is one number or one per row tile.  Returns two index arrays, sorted
+    by row tile.
     """
-    ca, ra = _tile_spheres(a, size)
-    cb, rb = _tile_spheres(b, size)
-    gap = cdist(ca, cb) - ra[:, None] - rb[None, :]
+    gap = centre_d - ra[:, None] - rb[None, :]
     return np.nonzero(gap <= np.reshape(bound, (-1, 1)))
 
 
@@ -628,7 +627,9 @@ class Trefoil(Model):
         # |gamma'|^2 = scale^2 (17 + 8 cos 3u + 9 cos^2 3u) <= 34 scale^2
         step = 2.0 * math.pi / n_scan * math.sqrt(34.0) * self.scale
         bound = max(sep_ub, clr_ub + 2.0 * step)
-        row_tiles, col_tiles = _near_tile_pairs(base_pts[:, None], scan_pts[:, None], bound, size)
+        ca, ra = _tile_spheres(base_pts[:, None], size)
+        cb, rb = _tile_spheres(scan_pts[:, None], size)
+        row_tiles, col_tiles = _near_tile_pairs(cdist(ca, cb), ra, rb, bound)
         clearance, separation = clr_ub, sep_ub
         for t in np.unique(row_tiles):
             clr, sep = scan(np.arange(t * size, t * size + size), col_tiles[row_tiles == t])

@@ -34,6 +34,9 @@ from .shadow import _box_overlap_pairs
 OK = "ok"
 OUT_OF_REGIME = "out-of-regime"
 
+# grid points and edges per tile of the Hausdorff model walk
+_WALK_TILE = 16
+
 
 @dataclass(frozen=True)
 class Polyline:
@@ -205,15 +208,15 @@ def _hausdorff_to_model(model: Model, curve: Polyline, zeta: float) -> float:
     return max(d_curve, d_model)
 
 
-def _grid_to_curve(mpts: np.ndarray, curve: Polyline, size: int = 16) -> np.ndarray:
+def _grid_to_curve(mpts: np.ndarray, curve: Polyline) -> np.ndarray:
     """Distance from each row of mpts to the polyline.
 
-    Grid points and edges are cut into tiles of ``size``.  Each grid tile
-    is first walked against the edge tile whose centre is nearest; the
-    largest distance found bounds the tile, and only the edge tiles whose
-    spheres come within that bound are walked next.  An edge left out is
-    farther than the bound from every point of the tile, so each entry is
-    the minimum of the same floats as a walk over every edge.
+    Grid points and edges are cut into tiles of ``_WALK_TILE``.  Each grid
+    tile is first walked against the edge tile whose centre is nearest;
+    the largest distance found bounds the tile, and only the edge tiles
+    whose spheres come within that bound are walked next.  An edge left
+    out is farther than the bound from every point of the tile, so each
+    entry is the minimum of the same floats as a walk over every edge.
     """
     a, b = _edge_ends(curve.points, curve.closed)
     seg = b - a
@@ -222,6 +225,7 @@ def _grid_to_curve(mpts: np.ndarray, curve: Polyline, size: int = 16) -> np.ndar
     # entries do not depend on the other rows: the floats agree
     denom = np.matmul(seg[:, None], seg[:, :, None])[:, 0, 0]
     grid_items, edge_items = mpts[:, None], np.stack([a, b], axis=1)
+    size = _WALK_TILE
     best = np.full(len(mpts), np.inf)
 
     def walk(grid_tiles, edge_tile):
@@ -244,12 +248,14 @@ def _grid_to_curve(mpts: np.ndarray, curve: Polyline, size: int = 16) -> np.ndar
             dist = np.linalg.norm(pts - proj, axis=-1)
             best[rows] = np.minimum(best[rows], dist.min(axis=0))
 
-    centres = cdist(_tile_spheres(grid_items, size)[0], _tile_spheres(edge_items, size)[0])
-    nearest = np.argmin(centres, axis=1)
+    ca, ra = _tile_spheres(grid_items, size)
+    cb, rb = _tile_spheres(edge_items, size)
+    centre_d = cdist(ca, cb)
+    nearest = np.argmin(centre_d, axis=1)
     for e in np.unique(nearest):
         walk(np.flatnonzero(nearest == e), e)
     bound = np.maximum.reduceat(best, np.arange(0, len(mpts), size))
-    rows, cols = _near_tile_pairs(grid_items, edge_items, bound, size)
+    rows, cols = _near_tile_pairs(centre_d, ra, rb, bound)
     later = cols != nearest[rows]
     for e in np.unique(cols[later]):
         walk(rows[later & (cols == e)], e)

@@ -347,7 +347,6 @@ def test_trefoil_constants_are_stable():
     assert t.betti() == (1, 1)
 
 
-
 @settings(max_examples=4, deadline=None)
 @given(st.floats(-3.0, 3.0))
 @example(math.log10(0.37))
@@ -377,7 +376,9 @@ def test_near_tile_pairs_keep_every_pair_within_the_bound(seed, n_a, n_b, size, 
         "per-tile": np.quantile(d, rng.uniform(size=tiles_a)),
         "inf": math.inf,
     }[kind]
-    rows, cols = models._near_tile_pairs(a[:, None], b[:, None], bound, size)
+    ca, ra = models._tile_spheres(a[:, None], size)
+    cb, rb = models._tile_spheres(b[:, None], size)
+    rows, cols = models._near_tile_pairs(cdist(ca, cb), ra, rb, bound)
     kept = set(zip(rows.tolist(), cols.tolist()))
     per_row = np.broadcast_to(bound, (tiles_a,))[np.arange(n_a) // size]
     i, j = np.nonzero(d <= per_row[:, None])
@@ -391,6 +392,7 @@ def test_near_tile_pairs_keep_every_pair_within_the_bound(seed, n_a, n_b, size, 
     inner = w * segs[:, 0] + (1.0 - w) * segs[:, 1]
     assert np.all(np.linalg.norm(inner - centres[np.arange(n_a) // size], axis=1)
                   <= radii[np.arange(n_a) // size])
+
 
 def test_theta_graph_length_matches_chord_formula():
     g = theta_graph(segments_per_arc=16)

@@ -9,10 +9,10 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ripshadow import _exact
+from ripshadow import _exact, reconstruct
 from ripshadow.cli import _points_csv, _write_json, _write_text
 from ripshadow.models import (
     AmbiguousProjectionError,
@@ -248,7 +248,6 @@ def test_noisy_reconstruction_passes_all_checks():
     assert result.checks["hausdorff_to_model"] <= 0.02 + 0.05 + 0.2**2 / 8.0
 
 
-
 @settings(max_examples=30, deadline=None)
 @given(
     st.integers(0, 2**32 - 1),
@@ -259,6 +258,8 @@ def test_noisy_reconstruction_passes_all_checks():
     st.integers(1, 2500),
     st.sampled_from([1, 2, 5, 16]),
 )
+# a last grid tile of one point
+@example(0, 0.0, "circle", 40, True, 33, 16)
 def test_pruned_model_walk_equals_the_walk_over_every_edge(
     seed, log_scale, kind, n, closed, grid_n, size
 ):
@@ -270,7 +271,11 @@ def test_pruned_model_walk_equals_the_walk_over_every_edge(
     noise = rng.normal(size=(n, model.dim)) * 10.0 ** rng.uniform(-4.0, 0.5) * scale
     curve = Polyline(model.points_at(params) + noise, closed=closed)
     mpts = model.points_at(np.arange(grid_n) * (model.length / grid_n))
-    assert np.array_equal(_grid_to_curve(mpts, curve, size), brute_grid_to_curve(mpts, curve))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reconstruct, "_WALK_TILE", size)
+        fast = _grid_to_curve(mpts, curve)
+    assert np.array_equal(fast, brute_grid_to_curve(mpts, curve))
+
 
 def test_reconstruction_gates_when_noise_crowds_the_scale():
     c = Circle(1.0)

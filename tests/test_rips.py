@@ -108,7 +108,6 @@ def test_malformed_simplices_are_named(simplices, message):
             SimplicialComplex(3, 2, rows)
 
 
-
 @pytest.mark.parametrize(
     "simplices, message",
     [
@@ -131,6 +130,7 @@ def test_vertex_lookup_is_a_range_test():
     assert cx._locate(0, [[-1], [0], [2], [3], [2**62]]).tolist() == [-1, 0, 2, -1, -1]
     assert SimplicialComplex(0, 1, {})._locate(0, [[0]]).tolist() == [-1]
     assert cx.has_simplex((2,)) and not cx.has_simplex((3,))
+
 
 def test_order_is_decided_by_the_first_differing_vertex():
     # the last vertex of (0, 2, 4) is larger and the middle one equal, but
