@@ -25,6 +25,9 @@ import numpy as np
 from .rips import SimplicialComplex, SimplicialMap
 from .shadow import ConvexCellSystem, NerveComplex, hulls_intersect
 
+# fewest stages, counted from the last, that a composite-rank plateau spans
+PLATEAU_MIN_LENGTH = 3
+
 
 class InternalConsistencyError(RuntimeError):
     """A chain expected to be a cycle or boundary failed to reduce; this
@@ -621,16 +624,15 @@ def composite_rank_table(
     return table
 
 
-def detect_plateau(
-    table: list[list[int | None]], min_length: int = 3
-) -> Plateau | None:
+def detect_plateau(table: list[list[int | None]]) -> Plateau | None:
     """Earliest (j0, i0) from which every composite rank in the window agrees.
 
     A plateau of rank r means table[i][j] == r for all i0 <= i <= j and
-    j >= j0, and the tail j0..k-1 must be at least min_length stages long.
+    j >= j0, and the tail j0..k-1 must be at least ``PLATEAU_MIN_LENGTH``
+    stages long.
     """
     k = len(table)
-    for j0 in range(0, k - min_length + 1):
+    for j0 in range(0, k - PLATEAU_MIN_LENGTH + 1):
         for i0 in range(0, j0 + 1):
             r = table[i0][j0]
             ok = True
@@ -665,7 +667,7 @@ class TowerReport:
         }
 
 
-def tower_ranks(tower: HomologyTower, min_plateau: int = 3) -> TowerReport:
+def tower_ranks(tower: HomologyTower) -> TowerReport:
     dims = list(range(tower.up_to + 1))
     tables = {}
     plateaus = {}
@@ -674,5 +676,5 @@ def tower_ranks(tower: HomologyTower, min_plateau: int = 3) -> TowerReport:
         steps = [mats[m] for mats in tower.step_matrices]
         table = composite_rank_table(stage_ranks, steps)
         tables[m] = table
-        plateaus[m] = detect_plateau(table, min_plateau)
+        plateaus[m] = detect_plateau(table)
     return TowerReport(dims, len(tower), tables, plateaus)

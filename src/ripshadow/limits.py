@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .homology import (
+    PLATEAU_MIN_LENGTH,
     HomologyTower,
     InternalConsistencyError,
     TowerReport,
@@ -85,21 +86,19 @@ def dense_arc_enumeration(model: Model, count: int, seed: int = 0) -> np.ndarray
     return ((vals + phase) % 1.0) * model.length
 
 
-def projection_parameters(model: Model, cloud: PointCloud) -> np.ndarray:
-    return model.project_many(cloud.points)[1]
-
-
 _DENSITY_BLOCK = 256
+# arc grid points per parameter, at least 2048 in all
+_DENSITY_GRID_FACTOR = 8
 
 
-def measured_density(model: Model, params: np.ndarray, grid_factor: int = 8) -> float:
+def measured_density(model: Model, params: np.ndarray) -> float:
     """Geodesic density of a parameter set, plus the grid's own half-step.
 
     Evaluated on a uniform arc grid; the reported value is an upper bound
     on the true sup-distance, so a passing density check is trustworthy.
     """
     params = np.asarray(params, dtype=float)
-    grid_n = max(2048, grid_factor * len(params))
+    grid_n = max(2048, _DENSITY_GRID_FACTOR * len(params))
     step = model.length / grid_n
     # the distance is elementwise, so blocks of grid rows give the same
     # maximum as one grid_n x n matrix without holding it in memory
@@ -129,7 +128,7 @@ def _sample_stages(
     for tau in taus_fine_first:
         if tau not in drawn:
             cloud = sample(SamplerSpec(model, n, tau, seed, scheme))
-            drawn[tau] = cloud, measured_density(model, projection_parameters(model, cloud))
+            drawn[tau] = cloud, measured_density(model, model.project(cloud.points)[1])
     clouds, stages, reports = [], [], []
     for i, (beta, tau) in enumerate(zip(betas_fine_first, taus_fine_first)):
         cloud, zeta = drawn[tau]
@@ -357,22 +356,26 @@ def _inclusion_tower(
     return HomologyTower(complexes, maps, up_to=dim)
 
 
-def _record_tower(report: LimitReport, name: str, tower: HomologyTower) -> int | None:
-    """Store the tower's rank tables and its plateau rank in ``report.dim``."""
+def _record_tower(report: LimitReport, tower: HomologyTower, *names: str) -> int | None:
+    """Store the tower's rank tables and its plateau rank in ``report.dim``
+    under each name."""
     trep = tower_ranks(tower)
-    report.towers[name] = trep
     plateau = trep.plateaus.get(report.dim)
-    report.stabilized[name] = None if plateau is None else int(plateau.rank)
-    return report.stabilized[name]
+    rank = None if plateau is None else int(plateau.rank)
+    for name in names:
+        report.towers[name] = trep
+        report.stabilized[name] = rank
+    return rank
 
 
 def _judge_plateau(report: LimitReport, tower: HomologyTower, target_phrase: str) -> None:
     """Verdict of a single tower: its plateau rank against ``report.target_rank``."""
-    rank = _record_tower(report, "tower", tower)
+    rank = _record_tower(report, tower, "tower")
     if rank is None:
         report.verdict = INCONSISTENT
         report.annotations.append(
-            f"no composite-rank plateau of length >= 3 within {len(tower)} stages"
+            f"no composite-rank plateau of length >= {PLATEAU_MIN_LENGTH} "
+            f"within {len(tower)} stages"
         )
     elif rank == report.target_rank:
         report.verdict = CONSISTENT
@@ -577,34 +580,22 @@ def run_metric_comparability(
         np.max(met_p.d[off] / met_e.d[off], initial=1.0)
     )
 
-    towers = {
-        name: _inclusion_tower(
-            [build_rips(met, beta, cap=dim + 1) for beta in betas_fine_first],
-            betas_fine_first,
-            dim,
-        )
-        for name, met in (("euclidean", met_e), ("epsilon-path", met_p))
-    }
-    for a, b in zip(towers["euclidean"].complexes, towers["epsilon-path"].complexes):
-        if a != b:
+    complexes = [build_rips(met_e, beta, cap=dim + 1) for beta in betas_fine_first]
+    for a, beta in zip(complexes, betas_fine_first):
+        if a != build_rips(met_p, beta, cap=dim + 1):
             raise InternalConsistencyError(
                 "strict complexes differ below the path cutoff; the pinned "
                 "path metric is broken"
             )
     report.numbers["stagewise_identical"] = True
 
-    ranks = {name: _record_tower(report, name, tower) for name, tower in towers.items()}
-    vals = list(ranks.values())
-    if any(v is None for v in vals):
+    # equal complexes and vertex-identity maps make the twins one tower
+    tower = _inclusion_tower(complexes, betas_fine_first, dim)
+    if _record_tower(report, tower, "euclidean", "epsilon-path") is None:
         report.verdict = INCONSISTENT
         report.annotations.append("at least one tower failed to stabilize")
-    elif vals[0] == vals[1]:
-        report.verdict = CONSISTENT
     else:
-        report.verdict = INCONSISTENT
-        report.annotations.append(
-            f"stabilized ranks disagree between metrics: {ranks}"
-        )
+        report.verdict = CONSISTENT
     return report
 
 

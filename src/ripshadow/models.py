@@ -147,13 +147,6 @@ def epsilon_path_metric(cloud: PointCloud, eps: float) -> MetricMatrix:
 # models
 
 
-@dataclass(frozen=True)
-class ProjectionResult:
-    point: np.ndarray
-    param: float
-    distance: float
-
-
 class Model:
     """Base class: a compact subset of Euclidean space with arc-length
     coordinates in [0, length)."""
@@ -169,34 +162,23 @@ class Model:
     def length(self) -> float:
         raise NotImplementedError
 
-    def point_at(self, t: float) -> np.ndarray:
-        raise NotImplementedError
-
     def points_at(self, ts) -> np.ndarray:
-        """``point_at`` of every parameter in ts, one row each."""
-        return np.stack([self.point_at(t) for t in ts])
-
-    def project(self, x: np.ndarray) -> ProjectionResult:
+        """The model point at each arc parameter of ts, one row each."""
         raise NotImplementedError
 
-    def project_many(self, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Project every row of X: (points, params, distances), row by row."""
-        X = np.asarray(X, dtype=float)
-        points, params, dists = np.zeros(X.shape), np.zeros(len(X)), np.zeros(len(X))
-        for i, x in enumerate(X):
-            try:
-                res = self.project(x)
-            except AmbiguousProjectionError as exc:
-                exc.row = i
-                raise
-            points[i], params[i], dists[i] = res.point, res.param, res.distance
-        return points, params, dists
+    def project(self, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Nearest model point of every row of X, shape (n, dim): (points,
+        params, distances).  An ``AmbiguousProjectionError`` names the first
+        row on the model's medial axis."""
+        raise NotImplementedError
 
     def geodesic_param_distance(self, t1, t2):
-        raise NotImplementedError
+        """Shortest arc between parameters of a closed curve; broadcasts."""
+        delta = np.abs(np.asarray(t1) - np.asarray(t2)) % self.length
+        return np.minimum(delta, self.length - delta)
 
     def geodesic_metric(self, cloud: PointCloud) -> MetricMatrix:
-        params = self.project_many(cloud.points)[1]
+        params = self.project(cloud.points)[1]
         d = self.geodesic_param_distance(params[:, None], params[None, :])
         d = np.asarray(d, dtype=float)
         np.fill_diagonal(d, 0.0)
@@ -256,6 +238,9 @@ class Model:
         raise NotImplementedError
 
 
+_atan2 = np.frompyfunc(math.atan2, 2, 1)
+
+
 class Circle(Model):
     """Round circle of a given radius, embedded in the first two coordinates."""
 
@@ -282,9 +267,6 @@ class Circle(Model):
     def length(self) -> float:
         return 2.0 * math.pi * self.radius
 
-    def point_at(self, t: float) -> np.ndarray:
-        return self.points_at([t])[0]
-
     def points_at(self, ts) -> np.ndarray:
         theta = (np.asarray(ts, dtype=float) % self.length) / self.radius
         p = np.tile(self.center, (len(theta), 1))
@@ -299,23 +281,24 @@ class Circle(Model):
         v[1] = math.cos(theta)
         return v
 
-    def project(self, x: np.ndarray) -> ProjectionResult:
-        x = np.asarray(x, dtype=float)
-        u = x[:2] - self.center[:2]
-        nu = float(np.hypot(u[0], u[1]))
-        if nu <= 1e-12 * max(1.0, self.radius):
-            raise AmbiguousProjectionError(
+    def project(self, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        X = np.asarray(X, dtype=float)
+        u = X[:, :2] - self.center[:2]
+        nu = np.hypot(u[:, 0], u[:, 1])
+        axis = np.flatnonzero(nu <= 1e-12 * max(1.0, self.radius))
+        if axis.size:
+            exc = AmbiguousProjectionError(
                 "point lies on the circle's axis; projection is ambiguous"
             )
-        p = self.center.copy()
-        p[0] += self.radius * u[0] / nu
-        p[1] += self.radius * u[1] / nu
-        t = (math.atan2(u[1], u[0]) % (2.0 * math.pi)) * self.radius
-        return ProjectionResult(p, float(t), float(np.linalg.norm(x - p)))
-
-    def geodesic_param_distance(self, t1, t2):
-        delta = np.abs(np.asarray(t1) - np.asarray(t2)) % self.length
-        return np.minimum(delta, self.length - delta)
+            exc.row = int(axis[0])
+            raise exc
+        p = np.tile(self.center, (len(X), 1))
+        p[:, 0] += self.radius * u[:, 0] / nu
+        p[:, 1] += self.radius * u[:, 1] / nu
+        # math.atan2, element by element: np.arctan2 rounds differently
+        angle = _atan2(u[:, 1], u[:, 0]).astype(float)
+        diff = X - p
+        return p, (angle % (2.0 * math.pi)) * self.radius, np.sqrt(np.vecdot(diff, diff))
 
     @property
     def tube_radius(self) -> float:
@@ -480,9 +463,6 @@ class Trefoil(Model):
         u, cum = self._arc_table
         return np.interp(np.asarray(uu, dtype=float) % (2.0 * math.pi), u, cum)
 
-    def point_at(self, t: float) -> np.ndarray:
-        return self.points_at([t])[0]
-
     def points_at(self, ts) -> np.ndarray:
         return _trefoil_point(self._param_of_arc(ts), self.scale)
 
@@ -495,11 +475,7 @@ class Trefoil(Model):
         u = np.linspace(0.0, 2.0 * math.pi, self._SCAN, endpoint=False)
         return u, _trefoil_point(u, self.scale)
 
-    def project(self, x: np.ndarray) -> ProjectionResult:
-        p, t, d = self.project_many(np.asarray(x, dtype=float)[None])
-        return ProjectionResult(p[0], float(t[0]), float(d[0]))
-
-    def project_many(self, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def project(self, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         X = np.asarray(X, dtype=float)
         n, s = len(X), self.scale
         u_grid, pts = self._scan_points
@@ -559,10 +535,6 @@ class Trefoil(Model):
             live = live[b[live] - a[live] > 1e-12]
         u = 0.5 * (a + b)
         return u, f(u, X)
-
-    def geodesic_param_distance(self, t1, t2):
-        delta = np.abs(np.asarray(t1) - np.asarray(t2)) % self.length
-        return np.minimum(delta, self.length - delta)
 
     @cached_property
     def _curvature_max(self) -> float:
@@ -680,9 +652,11 @@ class EmbeddedGraph(Model):
                 raise ValueError(f"bad edge ({a}, {b})")
         if len(set(tuple(sorted(e)) for e in self.edges)) != len(self.edges):
             raise ValueError("duplicate edges")
-        self._elens = np.array(
-            [np.linalg.norm(self.vertices[b] - self.vertices[a]) for a, b in self.edges]
-        )
+        self._ends = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
+        self._tails = self.vertices[self._ends[:, 0]]
+        self._segs = self.vertices[self._ends[:, 1]] - self._tails
+        # np.vecdot rounds as the 1-d np.dot does; norm(axis=1) does not
+        self._elens = np.sqrt(np.vecdot(self._segs, self._segs))
         if np.any(self._elens <= 0):
             raise ValueError("zero-length edge")
         self._starts = np.concatenate([[0.0], np.cumsum(self._elens)])
@@ -695,44 +669,49 @@ class EmbeddedGraph(Model):
     def length(self) -> float:
         return float(self._starts[-1])
 
-    def _locate(self, t: float) -> tuple[int, float]:
-        t = float(t) % self.length
-        k = int(np.searchsorted(self._starts, t, side="right")) - 1
-        k = min(max(k, 0), len(self.edges) - 1)
+    def _locate(self, t):
+        """Edge index and offset along it of each arc parameter."""
+        t = np.asarray(t, dtype=float) % self.length
+        k = np.searchsorted(self._starts, t, side="right") - 1
+        k = np.clip(k, 0, len(self.edges) - 1)
         return k, t - self._starts[k]
 
-    def point_at(self, t: float) -> np.ndarray:
-        k, off = self._locate(t)
-        a, b = self.edges[k]
-        frac = off / self._elens[k]
-        return (1.0 - frac) * self.vertices[a] + frac * self.vertices[b]
+    def points_at(self, ts) -> np.ndarray:
+        k, off = self._locate(ts)
+        frac = (off / self._elens[k])[:, None]
+        ends = self._ends[k]
+        return (1.0 - frac) * self.vertices[ends[:, 0]] + frac * self.vertices[ends[:, 1]]
 
     def tangent_at(self, t: float) -> np.ndarray:
         k, _ = self._locate(t)
-        a, b = self.edges[k]
-        return (self.vertices[b] - self.vertices[a]) / self._elens[k]
+        return self._segs[k] / self._elens[k]
 
-    def project(self, x: np.ndarray) -> ProjectionResult:
-        x = np.asarray(x, dtype=float)
-        best = []
-        for k, (a, b) in enumerate(self.edges):
-            pa, pb = self.vertices[a], self.vertices[b]
-            seg = pb - pa
-            tt = float(np.dot(x - pa, seg) / np.dot(seg, seg))
-            tt = min(max(tt, 0.0), 1.0)
-            q = pa + tt * seg
-            best.append((float(np.linalg.norm(x - q)), k, tt, q))
-        best.sort(key=lambda item: (item[0], item[1]))
-        d0, k0, t0, q0 = best[0]
-        tol = 1e-9 * max(1.0, self.length)
-        for d, k, tt, q in best[1:]:
-            if d > d0 + tol:
-                break
-            if np.linalg.norm(q - q0) > 1e-6 * max(1.0, self.length):
-                raise AmbiguousProjectionError(
-                    "point is equidistant from two separated strands of the graph"
-                )
-        return ProjectionResult(q0, float(self._starts[k0] + t0 * self._elens[k0]), d0)
+    def project(self, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Nearest point of every segment, then the nearest segment, ties to
+        the lowest edge index.  A row is ambiguous when another segment's
+        nearest point is as close, within tolerance, and apart from it."""
+        X = np.asarray(X, dtype=float)
+        rows = np.arange(len(X))
+        # (row, edge) tables
+        tt = np.vecdot(X[:, None] - self._tails, self._segs) / np.vecdot(self._segs, self._segs)
+        # min(max(tt, 0.0), 1.0), signed zeros included
+        tt = np.where(tt < 0.0, 0.0, np.where(tt > 1.0, 1.0, tt))
+        q = self._tails + tt[..., None] * self._segs
+        diff = X[:, None] - q
+        d = np.sqrt(np.vecdot(diff, diff))
+        k0 = np.argmin(d, axis=1)
+        d0, q0 = d[rows, k0], q[rows, k0]
+        scale = max(1.0, self.length)
+        gap = q - q0[:, None]
+        apart = np.sqrt(np.vecdot(gap, gap)) > 1e-6 * scale
+        tied = np.flatnonzero(np.any(apart & (d <= (d0 + 1e-9 * scale)[:, None]), axis=1))
+        if tied.size:
+            exc = AmbiguousProjectionError(
+                "point is equidistant from two separated strands of the graph"
+            )
+            exc.row = int(tied[0])
+            raise exc
+        return q0, self._starts[k0] + tt[rows, k0] * self._elens[k0], d0
 
     @cached_property
     def _vertex_dist(self) -> np.ndarray:
@@ -751,12 +730,11 @@ class EmbeddedGraph(Model):
         shape = np.broadcast_shapes(t1.shape, t2.shape)
         t1 = np.broadcast_to(t1, shape).ravel()
         t2 = np.broadcast_to(t2, shape).ravel()
-        k1, o1 = self._locate_vec(t1)
-        k2, o2 = self._locate_vec(t2)
+        k1, o1 = self._locate(t1)
+        k2, o2 = self._locate(t2)
         dv = self._vertex_dist
-        e = np.array(self.edges)
-        a1, b1 = e[k1, 0], e[k1, 1]
-        a2, b2 = e[k2, 0], e[k2, 1]
+        a1, b1 = self._ends[k1, 0], self._ends[k1, 1]
+        a2, b2 = self._ends[k2, 0], self._ends[k2, 1]
         l1 = self._elens[k1]
         l2 = self._elens[k2]
         cand = np.minimum.reduce(
@@ -770,12 +748,6 @@ class EmbeddedGraph(Model):
         same = k1 == k2
         cand[same] = np.minimum(cand[same], np.abs(o1[same] - o2[same]))
         return cand.reshape(shape)
-
-    def _locate_vec(self, t):
-        t = np.asarray(t, dtype=float) % self.length
-        k = np.searchsorted(self._starts, t, side="right") - 1
-        k = np.clip(k, 0, len(self.edges) - 1)
-        return k, t - self._starts[k]
 
     def _adjacent(self, i: int, j: int) -> bool:
         return bool(set(self.edges[i]) & set(self.edges[j]))
@@ -971,14 +943,11 @@ def sample(spec: SamplerSpec) -> PointCloud:
         params = np.arange(n) * (model.length / n)
     else:
         params = rng.uniform(0.0, model.length, size=n)
-    pts = np.zeros((n, model.dim))
-    for i, t in enumerate(params):
-        p = model.point_at(t)
-        if spec.tau > 0:
+    pts = model.points_at(params)
+    if spec.tau > 0:
+        for i, t in enumerate(params):
             basis = _normal_basis(model.tangent_at(t))
-            offset = _ball_offset(rng, basis.shape[0], spec.tau)
-            p = p + offset @ basis
-        pts[i] = p
+            pts[i] = pts[i] + _ball_offset(rng, basis.shape[0], spec.tau) @ basis
     return PointCloud(pts)
 
 

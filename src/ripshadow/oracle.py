@@ -13,7 +13,7 @@ from itertools import combinations
 import numpy as np
 
 from . import _exact
-from .models import MetricMatrix, _trefoil_d1, _trefoil_point
+from .models import AmbiguousProjectionError, MetricMatrix, _trefoil_d1, _trefoil_point
 from .rips import SimplicialComplex
 from .shadow import ConvexCellSystem
 
@@ -277,6 +277,68 @@ def brute_curve_projection(curve, x, period=2.0 * math.pi, coarse=20_000):
             lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, 200)]
         best = min(best, (float(dd[k]), float(grid[k] % period)))
     return best[1], math.sqrt(best[0])
+
+
+def _project_rows(project_one, X):
+    """Project every row of X by ``project_one(x) -> (point, param,
+    distance)``, row by row; an ambiguous row is named in the error."""
+    X = np.asarray(X, dtype=float)
+    points, params, dists = np.zeros(X.shape), np.zeros(len(X)), np.zeros(len(X))
+    for i, x in enumerate(X):
+        try:
+            points[i], params[i], dists[i] = project_one(x)
+        except AmbiguousProjectionError as exc:
+            exc.row = i
+            raise
+    return points, params, dists
+
+
+def brute_circle_projection(circle, X):
+    """The circle's projection of every row of X by scalar formulas:
+    (points, params, distances)."""
+
+    def project_one(x):
+        u = x[:2] - circle.center[:2]
+        nu = float(np.hypot(u[0], u[1]))
+        if nu <= 1e-12 * max(1.0, circle.radius):
+            raise AmbiguousProjectionError(
+                "point lies on the circle's axis; projection is ambiguous"
+            )
+        p = circle.center.copy()
+        p[0] += circle.radius * u[0] / nu
+        p[1] += circle.radius * u[1] / nu
+        t = (math.atan2(u[1], u[0]) % (2.0 * math.pi)) * circle.radius
+        return p, float(t), float(np.linalg.norm(x - p))
+
+    return _project_rows(project_one, X)
+
+
+def brute_graph_projection(graph, X):
+    """The graph's projection of every row of X, one segment at a time:
+    (points, params, distances)."""
+
+    def project_one(x):
+        best = []
+        for k, (a, b) in enumerate(graph.edges):
+            pa, pb = graph.vertices[a], graph.vertices[b]
+            seg = pb - pa
+            tt = float(np.dot(x - pa, seg) / np.dot(seg, seg))
+            tt = min(max(tt, 0.0), 1.0)
+            q = pa + tt * seg
+            best.append((float(np.linalg.norm(x - q)), k, tt, q))
+        best.sort(key=lambda item: (item[0], item[1]))
+        d0, k0, t0, q0 = best[0]
+        tol = 1e-9 * max(1.0, graph.length)
+        for d, k, tt, q in best[1:]:
+            if d > d0 + tol:
+                break
+            if np.linalg.norm(q - q0) > 1e-6 * max(1.0, graph.length):
+                raise AmbiguousProjectionError(
+                    "point is equidistant from two separated strands of the graph"
+                )
+        return q0, float(graph._starts[k0] + t0 * graph._elens[k0]), d0
+
+    return _project_rows(project_one, X)
 
 
 def brute_trefoil_clearance(trefoil) -> tuple[float, float]:

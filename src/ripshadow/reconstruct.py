@@ -16,7 +16,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from . import _exact
-from .limits import measured_density
+from .limits import OUT_OF_REGIME, measured_density
 from .models import (
     AmbiguousProjectionError,
     ConditionReport,
@@ -32,7 +32,6 @@ from .rips import build_rips
 from .shadow import _box_overlap_pairs
 
 OK = "ok"
-OUT_OF_REGIME = "out-of-regime"
 
 # grid points and edges per tile of the Hausdorff model walk
 _WALK_TILE = 16
@@ -115,7 +114,7 @@ def order_by_projection(model: Model, cloud: PointCloud):
     if not model.is_closed_curve():
         raise ValueError("projection ordering needs a closed curve model")
     try:
-        _, params, dists = model.project_many(cloud.points)
+        _, params, dists = model.project(cloud.points)
     except AmbiguousProjectionError as exc:
         where = tuple(float(v) for v in cloud.points[exc.row])
         raise AmbiguousProjectionError(f"sample {exc.row} at {where}: {exc}") from exc
@@ -197,7 +196,7 @@ def _hausdorff_to_model(model: Model, curve: Polyline, zeta: float) -> float:
     walks = [
         a + np.linspace(0.0, 1.0, c)[:, None] * (b - a) for (a, b), c in zip(segs, cuts)
     ]
-    dists = model.project_many(np.concatenate(walks))[2]
+    dists = model.project(np.concatenate(walks))[2]
     worst = np.maximum.reduceat(dists, np.cumsum(cuts) - cuts)
     d_curve = float(np.max(worst + lengths / (cuts - 1) / 2.0))
 

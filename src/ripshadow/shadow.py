@@ -22,6 +22,9 @@ from .rips import CliqueList, SimplicialComplex, SimplicialMap
 
 
 _PAIR_BLOCK = 256
+# the raster oracle's first grid, doubled until two agree or past the last
+_RASTER_FIRST = 64
+_RASTER_LAST = 4096
 
 
 class RasterInconclusiveError(RuntimeError):
@@ -314,11 +317,7 @@ def _near_hull(plist: np.ndarray, hull: np.ndarray, pad: float) -> np.ndarray:
     return inside | near
 
 
-def raster_betti_2d(
-    system: ConvexCellSystem,
-    resolution: int = 64,
-    max_resolution: int = 4096,
-) -> tuple[int, int]:
+def raster_betti_2d(system: ConvexCellSystem) -> tuple[int, int]:
     """Grid oracle for the Betti numbers of the union of planar cells.
 
     The union is drawn with one-pixel strokes, components are counted with
@@ -328,14 +327,14 @@ def raster_betti_2d(
     """
     if system.coords.dim != 2:
         raise ValueError("raster oracle is planar only")
-    res = max(resolution, 8)
+    res = _RASTER_FIRST
     prev: tuple[int, int] | None = None
-    while res <= max_resolution:
+    while res <= _RASTER_LAST:
         cur = _raster_once(system, res)
         if prev is not None and cur == prev:
             return cur
         prev = cur
         res *= 2
     raise RasterInconclusiveError(
-        f"raster Betti numbers failed to stabilize below resolution {max_resolution}"
+        f"raster Betti numbers failed to stabilize below resolution {_RASTER_LAST}"
     )

@@ -241,7 +241,15 @@ def test_inverse_report_json_is_reproducible(tmp_path):
 # twin metrics
 
 
-def test_metric_comparability_towers_are_bit_identical():
+def test_metric_comparability_towers_are_bit_identical(monkeypatch):
+    towers = []
+    build = ripshadow.limits.HomologyTower
+
+    def counted(*args, **kwargs):
+        towers.append(build(*args, **kwargs))
+        return towers[-1]
+
+    monkeypatch.setattr(ripshadow.limits, "HomologyTower", counted)
     report = run_metric_comparability(
         Circle(1.0), (0.14, 0.12, 0.10, 0.08), 0.0, 0.15, n=200, seed=1
     )
@@ -249,6 +257,9 @@ def test_metric_comparability_towers_are_bit_identical():
     assert report.numbers["stagewise_identical"] is True
     assert report.numbers["path_to_chord_ratio_max"] >= 1.0
     assert report.stabilized["euclidean"] == report.stabilized["epsilon-path"] == 1
+    # the twins' complexes are equal stage for stage, so one tower serves both
+    assert len(towers) == 1
+    assert report.towers["euclidean"] is report.towers["epsilon-path"]
 
 
 def test_metric_comparability_requires_scales_below_the_cutoff():

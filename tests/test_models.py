@@ -17,6 +17,7 @@ from ripshadow.limits import measured_density
 from ripshadow.models import (
     AmbiguousProjectionError,
     Circle,
+    EmbeddedGraph,
     PointCloud,
     SamplerSpec,
     Trefoil,
@@ -29,7 +30,12 @@ from ripshadow.models import (
     sample,
     theta_graph,
 )
-from ripshadow.oracle import brute_curve_projection, brute_trefoil_clearance
+from ripshadow.oracle import (
+    brute_circle_projection,
+    brute_curve_projection,
+    brute_graph_projection,
+    brute_trefoil_clearance,
+)
 from ripshadow.reconstruct import Polyline, _hausdorff_to_model, order_by_projection
 
 
@@ -116,13 +122,26 @@ def _scalar_point(model, t: float) -> np.ndarray:
         p[0] += model.radius * math.cos(theta)
         p[1] += model.radius * math.sin(theta)
         return p
+    if isinstance(model, EmbeddedGraph):
+        t = float(t) % model.length
+        k = int(np.searchsorted(model._starts, t, side="right")) - 1
+        k = min(max(k, 0), len(model.edges) - 1)
+        a, b = model.edges[k]
+        frac = (t - model._starts[k]) / model._elens[k]
+        return (1.0 - frac) * model.vertices[a] + frac * model.vertices[b]
     return np.atleast_2d(_trefoil_point(model._param_of_arc(t), model.scale))[0]
 
 
 @pytest.mark.parametrize(
     "model",
-    [Circle(1.0), Circle(0.37, center=[0.5, -1.0, 2.0], dim=3), Trefoil(1.0), Trefoil(2.5)],
-    ids=["circle", "circle-3d", "trefoil", "trefoil-2.5"],
+    [
+        Circle(1.0),
+        Circle(0.37, center=[0.5, -1.0, 2.0], dim=3),
+        Trefoil(1.0),
+        Trefoil(2.5),
+        theta_graph(16),
+    ],
+    ids=["circle", "circle-3d", "trefoil", "trefoil-2.5", "theta"],
 )
 def test_model_grid_equals_the_point_by_point_loop(model):
     # the arc grids of the reconstruction's Hausdorff walk, bit for bit
@@ -131,14 +150,16 @@ def test_model_grid_equals_the_point_by_point_loop(model):
         grid = np.arange(grid_n) * (model.length / grid_n)
         want = np.stack([_scalar_point(model, t) for t in grid])
         assert np.array_equal(model.points_at(grid), want)
-        assert np.array_equal(model.point_at(grid[7]), want[7])
+        # parameters past the length wrap, by the same formulas
+        past = grid[:9] + 3.0 * model.length
+        assert np.array_equal(model.points_at(past), np.stack([_scalar_point(model, t) for t in past]))
 
 
 def test_circle_projection_and_geodesic():
     c = Circle(1.0)
-    res = c.project(np.array([2.0, 0.0]))
-    assert np.allclose(res.point, [1.0, 0.0])
-    assert res.distance == pytest.approx(1.0)
+    points, _, dists = c.project(np.array([[2.0, 0.0]]))
+    assert np.allclose(points, [[1.0, 0.0]])
+    assert dists[0] == pytest.approx(1.0)
     assert c.geodesic_param_distance(0.0, math.pi) == pytest.approx(math.pi)
     # wrap-around takes the short way
     assert c.geodesic_param_distance(0.1, 2.0 * math.pi - 0.1) == pytest.approx(0.2)
@@ -146,20 +167,81 @@ def test_circle_projection_and_geodesic():
 
 def test_circle_projection_ambiguous_at_center():
     with pytest.raises(AmbiguousProjectionError):
-        Circle(1.0).project(np.array([0.0, 0.0]))
+        Circle(1.0).project(np.array([[0.0, 0.0]]))
 
 
-def test_circle_batch_projection_loops_over_rows():
+def _projection_outcome(project, X):
+    """(points, params, distances), or the first ambiguous row."""
+    try:
+        return project(X)
+    except AmbiguousProjectionError as exc:
+        return exc.row
+
+
+def _assert_same_outcome(got, want):
+    if isinstance(want, int):
+        assert got == want
+    else:
+        assert not isinstance(got, int)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_circle_projection_equals_the_row_loop():
     c = Circle(2.0)
     X = np.array([[3.0, 1.0], [-0.5, 0.25], [0.0, -4.0]])
-    points, params, dists = c.project_many(X)
-    for i, x in enumerate(X):
-        res = c.project(x)
-        assert np.array_equal(points[i], res.point)
-        assert (params[i], dists[i]) == (res.param, res.distance)
+    _assert_same_outcome(c.project(X), brute_circle_projection(c, X))
     with pytest.raises(AmbiguousProjectionError) as info:
-        c.project_many(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]))
+        c.project(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]))
     assert info.value.row == 1
+    assert [a.shape for a in c.project(np.zeros((0, 2)))] == [(0, 2), (0,), (0,)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(1, 300), st.integers(0, 2**32 - 1))
+def test_circle_projection_is_bit_equal_to_the_oracle(dim, n, seed):
+    rng = np.random.default_rng(seed)
+    c = Circle(10.0 ** rng.uniform(-2.0, 2.0), center=rng.normal(size=dim) * 5.0, dim=dim)
+    X = c.center + rng.normal(size=(n, dim)) * c.radius * rng.choice([0.1, 1.0, 3.0])
+    if n > 2 and rng.random() < 0.3:
+        # rows on the axis: the centre, and above it in the third coordinate
+        X[rng.integers(n, size=2)] = c.center + np.eye(dim)[dim - 1] * (dim - 2)
+    _assert_same_outcome(
+        _projection_outcome(c.project, X), _projection_outcome(lambda X: brute_circle_projection(c, X), X)
+    )
+
+
+def _random_graph(rng) -> EmbeddedGraph:
+    """A closed 3-d polygon on 4 to 9 vertices with one chord."""
+    v = int(rng.integers(4, 10))
+    edges = [(k, (k + 1) % v) for k in range(v)] + [(0, v // 2)]
+    return EmbeddedGraph(rng.normal(size=(v, 3)), edges)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.booleans(), st.integers(1, 300), st.integers(0, 2**32 - 1))
+def test_graph_projection_is_bit_equal_to_the_oracle(theta, n, seed):
+    rng = np.random.default_rng(seed)
+    g = theta_graph(int(rng.integers(2, 20))) if theta else _random_graph(rng)
+    near = g.points_at(rng.uniform(0.0, g.length, n))
+    X = near + rng.normal(size=near.shape) * rng.choice([1e-3, 0.05, 1.0])
+    if n > 2 and rng.random() < 0.3:
+        # rows at vertices and on a segment's own points
+        X[rng.integers(n, size=2)] = g.vertices[rng.integers(len(g.vertices), size=2)]
+    _assert_same_outcome(
+        _projection_outcome(g.project, X), _projection_outcome(lambda X: brute_graph_projection(g, X), X)
+    )
+
+
+def test_graph_projection_names_the_first_ambiguous_row():
+    # rows 1 and 2 are equidistant from the two parallel bars
+    g = EmbeddedGraph([[-1.0, 0.0], [1.0, 0.0], [-1.0, 2.0], [1.0, 2.0]], [(0, 1), (2, 3)])
+    X = np.array([[0.0, -1.0], [0.3, 1.0], [5.0, 1.0], [0.0, 3.0]])
+    with pytest.raises(AmbiguousProjectionError) as info:
+        g.project(X)
+    assert info.value.row == 1
+    points, params, dists = g.project(X[[0, 3]])
+    assert np.array_equal(points, [[0.0, 0.0], [0.0, 2.0]])
+    assert params.tolist() == [1.0, 3.0] and dists.tolist() == [1.0, 1.0]
 
 
 def _trefoil_queries(scale: float, n: int, seed: int) -> np.ndarray:
@@ -182,19 +264,16 @@ def test_trefoil_batch_projection_equals_row_by_row(scale, n, seed):
     rows = []
     for i in range(n):
         try:
-            rows.append(t.project_many(X[i : i + 1]))
+            rows.append(t.project(X[i : i + 1]))
         except AmbiguousProjectionError:
             with pytest.raises(AmbiguousProjectionError) as info:
-                t.project_many(X)
+                t.project(X)
             assert info.value.row == i
             return
-    points, params, dists = t.project_many(X)
+    points, params, dists = t.project(X)
     for i, (p, u, d) in enumerate(rows):
         assert np.array_equal(points[i], p[0])
         assert params[i] == u[0] and dists[i] == d[0]
-        res = t.project(X[i])
-        assert np.array_equal(res.point, p[0])
-        assert (res.param, res.distance) == (u[0], d[0])
 
 
 def _scalar_golden(scale, x, a, b):
@@ -249,7 +328,7 @@ def test_trefoil_batch_projection_equals_the_scalar_loops():
         X[[7, 41]] = [[0.0, 0.0, -0.4 * scale], [0.0, 0.0, 0.0]]
         ref = [_scalar_trefoil_project(t, x) for x in X]
         assert [i for i, r in enumerate(ref) if r is None] == [7, 41]
-        points, params, dists = t.project_many(np.delete(X, [7, 41], axis=0))
+        points, params, dists = t.project(np.delete(X, [7, 41], axis=0))
         ref = [r for r in ref if r is not None]
         for i, (p, u, d) in enumerate(ref):
             assert np.array_equal(points[i], p) and (params[i], dists[i]) == (u, d)
@@ -272,7 +351,7 @@ def test_trefoil_projection_distances_match_a_dense_scan():
     for scale in (0.5, 2.0):
         t = Trefoil(scale)
         X = _trefoil_queries(scale, 40, 11)
-        _, _, dists = t.project_many(X)
+        _, _, dists = t.project(X)
         for x, d in zip(X, dists):
             _, ref = brute_curve_projection(lambda u: _trefoil_point(u, scale), x)
             assert abs(d - ref) <= 1e-6 * scale
@@ -284,16 +363,16 @@ def test_trefoil_batch_keeps_the_ambiguity_of_the_symmetry_axis():
     t = Trefoil(1.0)
     X = np.array([[3.0, 0.0, 0.0], [0.0, 3.0, 0.5], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
     with pytest.raises(AmbiguousProjectionError) as info:
-        t.project_many(X)
+        t.project(X)
     assert info.value.row == 2
     with pytest.raises(AmbiguousProjectionError):
-        t.project(np.zeros(3))
-    assert t.project_many(X[[0, 1, 3]])[2].shape == (3,)
+        t.project(np.zeros((1, 3)))
+    assert t.project(X[[0, 1, 3]])[2].shape == (3,)
     # past the first scan block
     X = _trefoil_queries(1.0, 40, 5)
     X[35] = X[38] = [0.0, 0.0, 0.3]
     with pytest.raises(AmbiguousProjectionError) as info:
-        t.project_many(X)
+        t.project(X)
     assert info.value.row == 35
 
 
@@ -306,8 +385,8 @@ def test_partial_neighbour_sort_matches_a_full_sort(monkeypatch):
     cloud = sample(SamplerSpec(t, 141, tau=0.01, seed=0))
     order, params = order_by_projection(t, cloud)
     walks = []
-    batch = t.project_many
-    monkeypatch.setattr(t, "project_many", lambda X: walks.append(X) or batch(X))
+    batch = t.project
+    monkeypatch.setattr(t, "project", lambda X: walks.append(X) or batch(X))
     _hausdorff_to_model(t, Polyline(cloud.points[order], closed=True), measured_density(t, params))
     monkeypatch.undo()
     z = np.linspace(-3.0, 3.0, 61)
@@ -318,7 +397,7 @@ def test_partial_neighbour_sort_matches_a_full_sort(monkeypatch):
         out = []
         for X in inputs:
             try:
-                out.append(t.project_many(X))
+                out.append(t.project(X))
             except AmbiguousProjectionError as exc:
                 out.append(exc.row)
         return out
