@@ -749,28 +749,28 @@ class EmbeddedGraph(Model):
         cand[same] = np.minimum(cand[same], np.abs(o1[same] - o2[same]))
         return cand.reshape(shape)
 
-    def _adjacent(self, i: int, j: int) -> bool:
-        return bool(set(self.edges[i]) & set(self.edges[j]))
-
     @cached_property
     def normal_clearance(self) -> float:
-        """Smallest gap between segments that do not share a vertex."""
-        best = math.inf
-        for i in range(len(self.edges)):
-            for j in range(i + 1, len(self.edges)):
-                if self._adjacent(i, j):
-                    continue
-                best = min(best, self._segment_gap(i, j))
-        return best
-
-    def _segment_gap(self, i: int, j: int) -> float:
-        a0, a1 = (self.vertices[v] for v in self.edges[i])
-        b0, b1 = (self.vertices[v] for v in self.edges[j])
-        ts = np.linspace(0.0, 1.0, 33)
-        pa = a0[None, :] + ts[:, None] * (a1 - a0)[None, :]
-        pb = b0[None, :] + ts[:, None] * (b1 - b0)[None, :]
-        d = cdist(pa, pb)
-        return float(d.min())
+        """Smallest gap between segments that do not share a vertex, in
+        closed form (Lumelsky, IPL 1985).  The nearest points a + s d1 and
+        b + t d2 minimise a convex quadratic over the unit square: s comes
+        from the unconstrained minimum (0 for parallel segments), t from s,
+        and where t leaves [0, 1] it is clamped and s solved again."""
+        i, j = np.triu_indices(len(self.edges), 1)
+        apart = np.all(self._ends[i, :, None] != self._ends[j, None, :], axis=(1, 2))
+        i, j = i[apart], j[apart]
+        d1, d2, r = self._segs[i], self._segs[j], self._tails[i] - self._tails[j]
+        aa, bb, cc = np.vecdot(d1, d1), np.vecdot(d1, d2), np.vecdot(d1, r)
+        ee, ff = np.vecdot(d2, d2), np.vecdot(d2, r)
+        denom = aa * ee - bb * bb
+        s = np.divide(bb * ff - cc * ee, denom, out=np.zeros_like(denom), where=denom > 0.0)
+        s = np.clip(s, 0.0, 1.0)
+        t = (bb * s + ff) / ee
+        s = np.where(t < 0.0, np.clip(-cc / aa, 0.0, 1.0), s)
+        s = np.where(t > 1.0, np.clip((bb - cc) / aa, 0.0, 1.0), s)
+        t = np.clip(t, 0.0, 1.0)
+        gap = r + s[:, None] * d1 - t[:, None] * d2
+        return float(np.sqrt(np.vecdot(gap, gap)).min(initial=math.inf))
 
     @cached_property
     def _girth(self) -> float:

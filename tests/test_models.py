@@ -481,6 +481,45 @@ def test_theta_graph_length_matches_chord_formula():
     assert g.betti() == (1, 2)
 
 
+def test_graph_clearance_is_the_exact_segment_gap():
+    # a vertex hanging just above the bar's interior: 33 x 33 samples read 0.014142
+    bar = EmbeddedGraph([[0.0, 0.0], [1.0, 0.0], [0.51, 0.01], [0.51, 1.0]], [(0, 1), (2, 3)])
+    assert bar.normal_clearance == pytest.approx(0.01, rel=1e-12)
+    assert bar.tube_radius == pytest.approx(0.00475, rel=1e-12)
+    # skew segments in R^3, nearest at both interiors
+    skew = EmbeddedGraph(
+        [[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, -1.0, 0.3], [0.0, 1.0, 0.3]], [(0, 1), (2, 3)]
+    )
+    assert skew.normal_clearance == pytest.approx(0.3, rel=1e-12)
+    # the bar against the second chord of each arc; samples read 0.1960342806591209
+    assert theta_graph(16).normal_clearance == math.sin(math.pi / 16.0)
+    # parallel and collinear pairs; adjacent segments do not count
+    assert EmbeddedGraph(
+        [[0.0, 0.0], [1.0, 0.0], [0.5, 0.2], [2.0, 0.2]], [(0, 1), (2, 3)]
+    ).normal_clearance == pytest.approx(0.2, rel=1e-12)
+    assert EmbeddedGraph(
+        [[0.0, 0.0], [1.0, 0.0], [1.5, 0.0], [3.0, 0.0]], [(0, 1), (2, 3)]
+    ).normal_clearance == pytest.approx(0.5, rel=1e-12)
+    assert EmbeddedGraph([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]], [(0, 1), (1, 2)]).normal_clearance == math.inf
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]))
+def test_graph_clearance_lies_within_the_sampling_error(seed, dim):
+    # a k x k sampling of two segments overstates their gap by at most half
+    # a sampling step of each, and never understates it
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=(4, dim))
+    if rng.random() < 0.3:
+        v[3] = v[2] + (v[1] - v[0]) * rng.uniform(-2.0, 2.0)  # parallel
+    g = EmbeddedGraph(v, [(0, 1), (2, 3)])
+    k = 257
+    w = np.linspace(0.0, 1.0, k)[:, None]
+    sampled = cdist(v[0] + w * (v[1] - v[0]), v[2] + w * (v[3] - v[2])).min()
+    step = (g._elens[0] + g._elens[1]) / (2.0 * (k - 1))
+    assert sampled - step - 1e-12 <= g.normal_clearance <= sampled + 1e-12
+
+
 def test_model_json_round_trip(tmp_path):
     for model in (Circle(2.0), Trefoil(0.5), theta_graph(8)):
         back = model_from_json(model.to_spec_json())
