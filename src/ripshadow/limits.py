@@ -86,28 +86,13 @@ def dense_arc_enumeration(model: Model, count: int, seed: int = 0) -> np.ndarray
     return ((vals + phase) % 1.0) * model.length
 
 
-_DENSITY_BLOCK = 256
-# arc grid points per parameter, at least 2048 in all
-_DENSITY_GRID_FACTOR = 8
-
-
 def measured_density(model: Model, params: np.ndarray) -> float:
-    """Geodesic density of a parameter set, plus the grid's own half-step.
-
-    Evaluated on a uniform arc grid; the reported value is an upper bound
-    on the true sup-distance, so a passing density check is trustworthy.
-    """
-    params = np.asarray(params, dtype=float)
-    grid_n = max(2048, _DENSITY_GRID_FACTOR * len(params))
-    step = model.length / grid_n
-    # the distance is elementwise, so blocks of grid rows give the same
-    # maximum as one grid_n x n matrix without holding it in memory
-    worst = -math.inf
-    for start in range(0, grid_n, _DENSITY_BLOCK):
-        grid = np.arange(start, min(start + _DENSITY_BLOCK, grid_n)) * step
-        d = np.asarray(model.geodesic_param_distance(grid[:, None], params[None, :]))
-        worst = max(worst, float(d.min(axis=1).max()))
-    return worst + model.length / (2.0 * grid_n)
+    """Geodesic density of a parameter set: the largest distance from a
+    model point to its nearest parameter, the epsilon of an epsilon-sample
+    (Niyogi, Smale & Weinberger, 2008), in closed form by
+    ``Model.covering_radius`` and rounded up, so a passing density check
+    is trustworthy."""
+    return model.covering_radius(np.asarray(params, dtype=float))
 
 
 def default_sample_count(model: Model, beta_min: float) -> int:

@@ -177,6 +177,15 @@ class Model:
         delta = np.abs(np.asarray(t1) - np.asarray(t2)) % self.length
         return np.minimum(delta, self.length - delta)
 
+    def covering_radius(self, params: np.ndarray) -> float:
+        """Largest distance from a point of a closed curve to its nearest
+        parameter, rounded up one ulp: half the largest circular gap
+        between the sorted parameters."""
+        p = np.sort(params % self.length)
+        # p[0] - (p[-1] - length) rounds once, p[0] + (length - p[-1]) twice
+        gaps = np.append(np.diff(p), p[0] - (p[-1] - self.length))
+        return float(np.nextafter(gaps.max() / 2.0, math.inf))
+
     def geodesic_metric(self, cloud: PointCloud) -> MetricMatrix:
         params = self.project(cloud.points)[1]
         d = self.geodesic_param_distance(params[:, None], params[None, :])
@@ -689,7 +698,9 @@ class EmbeddedGraph(Model):
     def project(self, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Nearest point of every segment, then the nearest segment, ties to
         the lowest edge index.  A row is ambiguous when another segment's
-        nearest point is as close, within tolerance, and apart from it."""
+        nearest point is as close, within tolerance, and apart from it.  A
+        nearest point clamped to a vertex of the winning segment lies on
+        that segment, whose nearest point is unique, so it never competes."""
         X = np.asarray(X, dtype=float)
         rows = np.arange(len(X))
         # (row, edge) tables
@@ -704,6 +715,9 @@ class EmbeddedGraph(Model):
         scale = max(1.0, self.length)
         gap = q - q0[:, None]
         apart = np.sqrt(np.vecdot(gap, gap)) > 1e-6 * scale
+        foot = np.where(tt == 0.0, self._ends[:, 0], np.where(tt == 1.0, self._ends[:, 1], -1))
+        ends0 = self._ends[k0]
+        apart &= (foot != ends0[:, :1]) & (foot != ends0[:, 1:])
         tied = np.flatnonzero(np.any(apart & (d <= (d0 + 1e-9 * scale)[:, None]), axis=1))
         if tied.size:
             exc = AmbiguousProjectionError(
@@ -748,6 +762,39 @@ class EmbeddedGraph(Model):
         same = k1 == k2
         cand[same] = np.minimum(cand[same], np.abs(o1[same] - o2[same]))
         return cand.reshape(shape)
+
+    def covering_radius(self, params: np.ndarray) -> float:
+        """Largest distance from a graph point to its nearest parameter,
+        rounded up one ulp; infinite when a component holds no parameter.
+
+        D(v) is the distance from vertex v to its nearest parameter.  On an
+        edge of length l from a to b, the distance to the nearest parameter
+        is the lower envelope of |x - p| over the parameters' offsets p on
+        the edge and the virtual sources -D(a) and l + D(b), so its maximum
+        over [0, l] lies at the clipped midpoint of two neighbouring sources.
+        """
+        k, off = self._locate(params)
+        n_edges = len(self.edges)
+        first = np.full(n_edges, math.inf)
+        last = np.full(n_edges, -math.inf)
+        np.minimum.at(first, k, off)
+        np.maximum.at(last, k, off)
+        a, b, lens, dv = self._ends[:, 0], self._ends[:, 1], self._elens, self._vertex_dist
+        # leave by either end of every edge that holds a parameter
+        near = np.minimum(dv[:, a] + first, dv[:, b] + (lens - last)).min(axis=1)
+        edge = np.concatenate([k, np.arange(n_edges), np.arange(n_edges)])
+        src = np.concatenate([off, -near[a], lens + near[b]])
+        order = np.lexsort((src, edge))
+        edge, src = edge[order], src[order]
+        pair = edge[1:] == edge[:-1]
+        lo, hi, ln = src[:-1][pair], src[1:][pair], lens[edge[1:][pair]]
+        with np.errstate(invalid="ignore"):
+            mid = np.clip((lo + hi) / 2.0, 0.0, ln)
+            worst = np.minimum(mid - lo, hi - mid)
+        # NaN where both sources are infinite: an edge of a component
+        # without parameters
+        worst[np.isnan(worst)] = math.inf
+        return float(np.nextafter(worst.max(), math.inf))
 
     @cached_property
     def normal_clearance(self) -> float:

@@ -315,7 +315,8 @@ def brute_circle_projection(circle, X):
 
 def brute_graph_projection(graph, X):
     """The graph's projection of every row of X, one segment at a time:
-    (points, params, distances)."""
+    (points, params, distances).  A segment whose nearest point is clamped
+    to a vertex of the nearest segment does not compete."""
 
     def project_one(x):
         best = []
@@ -332,6 +333,8 @@ def brute_graph_projection(graph, X):
         for d, k, tt, q in best[1:]:
             if d > d0 + tol:
                 break
+            if tt in (0.0, 1.0) and graph.edges[k][int(tt)] in graph.edges[k0]:
+                continue
             if np.linalg.norm(q - q0) > 1e-6 * max(1.0, graph.length):
                 raise AmbiguousProjectionError(
                     "point is equidistant from two separated strands of the graph"
@@ -393,3 +396,49 @@ def brute_grid_to_curve(mpts: np.ndarray, curve) -> np.ndarray:
         proj = a + t[:, None] * seg
         best = np.minimum(best, np.linalg.norm(mpts - proj, axis=1))
     return best
+
+
+_DENSITY_BLOCK = 256
+# arc grid points per parameter, at least 2048 in all
+_DENSITY_GRID_FACTOR = 8
+
+
+def brute_density(model, params) -> float:
+    """Geodesic density of a parameter set, plus the grid's own half-step.
+
+    Evaluated on a uniform arc grid.  On a closed curve the reported value
+    is an upper bound on the true sup-distance.  On a graph it is not
+    always: the grid reaches each edge's end only from inside the edge, so
+    a vertex can lie a whole step from the grid points that see it.
+    """
+    params = np.asarray(params, dtype=float)
+    grid_n = max(2048, _DENSITY_GRID_FACTOR * len(params))
+    step = model.length / grid_n
+    # the distance is elementwise, so blocks of grid rows give the same
+    # maximum as one grid_n x n matrix without holding it in memory
+    worst = -math.inf
+    for start in range(0, grid_n, _DENSITY_BLOCK):
+        grid = np.arange(start, min(start + _DENSITY_BLOCK, grid_n)) * step
+        d = np.asarray(model.geodesic_param_distance(grid[:, None], params[None, :]))
+        worst = max(worst, float(d.min(axis=1).max()))
+    return worst + model.length / (2.0 * grid_n)
+
+
+def brute_maximal_cliques(metric: MetricMatrix, beta: float) -> list[tuple[int, ...]]:
+    """Maximal cliques of the strict proximity graph, sorted, by scanning
+    every vertex subset: a clique is maximal when no other vertex is
+    joined to all of it."""
+    n = metric.n
+    if n > 12:
+        raise OracleBudgetError(f"brute_maximal_cliques handles at most 12 points, got {n}")
+    if beta <= 0:
+        raise ValueError("beta must be positive")
+    joined = [[i != j and metric.d[i, j] < beta for j in range(n)] for i in range(n)]
+    out = []
+    for size in range(1, n + 1):
+        for s in combinations(range(n), size):
+            if all(joined[a][b] for a, b in combinations(s, 2)) and not any(
+                all(joined[v][a] for a in s) for v in range(n) if v not in s
+            ):
+                out.append(s)
+    return sorted(out)

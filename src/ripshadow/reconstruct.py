@@ -157,7 +157,8 @@ def polyline_is_simple(curve: Polyline) -> bool:
     edges = list(curve.edges())
     m = len(edges)
     a, b = _edge_ends(curve.points, curve.closed)
-    for i, j in _box_overlap_pairs(np.minimum(a, b), np.maximum(a, b)):
+    first, second = _box_overlap_pairs(np.minimum(a, b), np.maximum(a, b))
+    for i, j in zip(first.tolist(), second.tolist()):
         (a0, a1), (b0, b1) = edges[i], edges[j]
         if j == i + 1:
             # consecutive edges meet at a1 == b0; any further contact

@@ -5,13 +5,15 @@ below the scale.  Strictness matters: a pair at distance exactly beta is
 never joined, so thresholds taken from existing pairwise distances leave
 those pairs out.
 
-Enumeration works on the strict upper-triangular adjacency matrix ``A``,
-one vertex at a time (Zomorodian's incremental expansion, 2010).  The
-simplices whose first vertex is i live among i's later neighbours N; each
-level is expanded inside the block ``A[N, N]``, where the mask of vertices
-that extend a simplex is its parent's mask AND the row of its last vertex.
-``np.nonzero`` reads each level in row-major order, so the per-vertex
-blocks, concatenated in vertex order, are already lexicographic.
+Enumeration is one flag expansion, ``_flag_rows``, shared with the nerve
+of ``shadow``.  It works level by level on the strict upper-triangular
+adjacency matrix ``A`` (Zomorodian's incremental expansion, 2010): a row
+(s_0, ..., s_d) of one level is extended by each later neighbour j of s_d,
+read from a CSR table, for which ``A[s_k, j]`` holds for every k < d.  The
+parents are read in order and each one's later neighbours in increasing
+order, so every level comes out lexicographic.  Parents are taken in
+blocks of bounded candidate count, which bounds the temporaries, and a
+caller may filter each block before the next level grows from it.
 
 Each dimension of a complex is held as an (m, d+1) ``int64`` array, one
 row per simplex, and indexed by one sorted ``int64`` key array.  Every
@@ -44,6 +46,8 @@ from .models import MetricMatrix
 # simplices in a dimension, and 2**31 squared is 2**62
 _MAX_VERTICES = 2**63 - 1
 _MAX_SIMPLICES = 2**31
+# candidate rows per block of parents in the flag expansion
+_FLAG_BLOCK = 1 << 15
 
 
 class CliqueBudgetError(RuntimeError):
@@ -373,71 +377,129 @@ class SimplicialMap:
         return tuple(sorted({self.vertex_map[v] for v in s}))
 
 
+def _flag_rows(adj: np.ndarray, cap: int, keep=None) -> dict[int, np.ndarray]:
+    """Rows of dimensions 1..cap of the flag complex of a strict
+    upper-triangular boolean adjacency, each level in lexicographic order.
+
+    ``keep(rows)``, when given, returns a boolean mask over an array of
+    candidate rows of one level; only the rows it keeps are stored and
+    extended, and the edges it keeps replace ``adj``.  Empty levels are
+    left out.
+    """
+    n = len(adj)
+
+    def kept(cand: np.ndarray) -> np.ndarray:
+        if keep is None:
+            return cand
+        mask = np.zeros(len(cand), bool)
+        for i in range(0, len(cand), _FLAG_BLOCK):
+            mask[i : i + _FLAG_BLOCK] = keep(cand[i : i + _FLAG_BLOCK])
+        return cand[mask]
+
+    rows = kept(np.argwhere(adj)) if cap >= 1 else np.empty((0, 2), np.int64)
+    if keep is not None:
+        adj = np.zeros((n, n), bool)
+        adj[rows[:, 0], rows[:, 1]] = True
+    levels = {}
+    # CSR of later neighbours: those of i are nbrs[indptr[i]:indptr[i + 1]]
+    indptr = np.searchsorted(rows[:, 0], np.arange(n + 1))
+    nbrs = rows[:, 1]
+    for d in range(1, cap + 1):
+        if not len(rows):
+            break
+        levels[d] = rows
+        if d == cap:
+            break
+        lo = indptr[rows[:, -1]]
+        count = indptr[rows[:, -1] + 1] - lo
+        ends = np.cumsum(count)
+        # candidate g of the level is nbrs[g + shift[parent of g]]
+        shift = lo - (ends - count)
+        blocks = []
+        first = 0
+        while first < len(rows):
+            # parents first..last-1: at most _FLAG_BLOCK candidates, or one parent
+            base = ends[first] - count[first]
+            last = max(int(np.searchsorted(ends, base + _FLAG_BLOCK, "right")), first + 1)
+            par = np.repeat(np.arange(first, last), count[first:last])
+            at = np.arange(base, ends[last - 1]) + shift[par]
+            j = nbrs[at]
+            ok = np.ones(len(j), bool)
+            for k in range(d):
+                ok &= adj[rows[par, k], j]
+            blocks.append(kept(np.column_stack((rows[par[ok]], j[ok]))))
+            first = last
+        rows = np.concatenate(blocks)
+    return levels
+
+
 def build_rips(metric: MetricMatrix, beta: float, cap: int = 2) -> SimplicialComplex:
     """All subsets of pairwise distance strictly below beta, up to dimension cap.
 
-    Expanded one vertex at a time inside its block of later neighbours; see
-    the module docstring.
+    One flag expansion of the strict adjacency; see the module docstring.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
     if cap < 0:
         raise ValueError("cap must be nonnegative")
     n = metric.n
-    adj = np.triu(metric.d < beta, 1)
-    blocks: dict[int, list[np.ndarray]] = {d: [] for d in range(1, cap + 1)}
-    for i in range(n if cap else 0):
-        nbrs = np.flatnonzero(adj[i])
-        if not nbrs.size:
-            continue
-        local = adj[np.ix_(nbrs, nbrs)]
-        # the simplices (i, nbrs[tail]) of this level, and for each the
-        # positions in nbrs that extend it
-        tails = np.arange(len(nbrs))[:, None]
-        ext = local
-        for d in range(1, cap + 1):
-            blocks[d].append(np.column_stack((np.full(len(tails), i), nbrs[tails])))
-            if d == cap:
-                break
-            parent, last = np.nonzero(ext)
-            if not parent.size:
-                break
-            tails = np.column_stack((tails[parent], last))
-            ext = ext[parent] & local[last]
     rows = {0: np.arange(n, dtype=np.int64)[:, None]}
-    rows.update({d: np.concatenate(b) for d, b in blocks.items() if b})
+    rows.update(_flag_rows(np.triu(metric.d < beta, 1), cap))
     return SimplicialComplex(n, cap, rows)
 
 
 def maximal_cliques(
     metric: MetricMatrix, beta: float, budget: int = 200_000
 ) -> CliqueList:
-    """Maximal cliques of the strict proximity graph, Bron-Kerbosch with pivot."""
+    """Maximal cliques of the strict proximity graph, sorted.
+
+    Bron-Kerbosch on Python-int bitsets, one per vertex, read from the
+    ``np.packbits`` rows of the adjacency, each call pivoting on a vertex
+    of P | X with the most neighbours in P (Tomita, Tanaka & Takahashi,
+    2006).  Raises ``CliqueBudgetError`` as soon as more than ``budget``
+    cliques are found.
+    """
     if beta <= 0:
         raise ValueError("beta must be positive")
     n = metric.n
-    if n == 0:
-        return CliqueList(0, ())
-    adj = [
-        {int(j) for j in np.flatnonzero(metric.d[i] < beta)} - {i}
-        for i in range(n)
-    ]
+    adj = metric.d < beta
+    np.fill_diagonal(adj, False)
+    packed = np.packbits(adj, axis=1, bitorder="little")
+    nbr = [int.from_bytes(row.tobytes(), "little") for row in packed]
     found: list[tuple[int, ...]] = []
 
-    def expand(r: list[int], p: set, x: set) -> None:
-        if not p and not x:
-            found.append(tuple(sorted(r)))
-            if len(found) > budget:
-                raise CliqueBudgetError(budget, len(found))
-            return
-        pivot_pool = p | x
-        pivot = max(sorted(pivot_pool), key=lambda u: len(adj[u] & p))
-        for v in sorted(p - adj[pivot]):
-            expand(r + [v], p & adj[v], x & adj[v])
-            p = p - {v}
-            x = x | {v}
+    def report(r: list[int]) -> None:
+        found.append(tuple(sorted(r)))
+        if len(found) > budget:
+            raise CliqueBudgetError(budget, len(found))
 
-    expand([], set(range(n)), set())
+    def expand(r: list[int], p: int, x: int) -> None:
+        """Report every maximal clique that holds r, adds vertices of the
+        nonempty P and avoids X."""
+        # no vertex of P | X has more than |P| neighbours in P
+        size, most, pivot, rest = p.bit_count(), -1, 0, p | x
+        while rest and most < size:
+            low = rest & -rest
+            u = low.bit_length() - 1
+            rest ^= low
+            here = (p & nbr[u]).bit_count()
+            if here > most:
+                most, pivot = here, u
+        cand = p & ~nbr[pivot]
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            v = low.bit_length() - 1
+            pv, xv = p & nbr[v], x & nbr[v]
+            if pv:
+                expand(r + [v], pv, xv)
+            elif not xv:
+                report(r + [v])
+            p ^= low
+            x |= low
+
+    if n:
+        expand([], (1 << n) - 1, 0)
     return CliqueList(n, tuple(sorted(found)))
 
 

@@ -18,7 +18,7 @@ from scipy import ndimage
 
 from . import _exact
 from .models import PointCloud
-from .rips import CliqueList, SimplicialComplex, SimplicialMap
+from .rips import CliqueList, SimplicialComplex, SimplicialMap, _flag_rows
 
 
 _PAIR_BLOCK = 256
@@ -51,17 +51,30 @@ class ConvexCellSystem:
         return len(self.cells)
 
     @cached_property
+    def _members(self) -> tuple[np.ndarray, np.ndarray]:
+        """Cell index and vertex of every (cell, vertex) incidence, cell by cell."""
+        cliques = self.cells.cliques
+        sizes = np.fromiter(map(len, cliques), dtype=np.intp, count=len(cliques))
+        flat = np.fromiter(chain.from_iterable(cliques), dtype=np.intp, count=int(sizes.sum()))
+        return np.repeat(np.arange(len(cliques)), sizes), flat
+
+    @cached_property
     def boxes(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-cell coordinate-wise minima and maxima, each of shape (k, dim).
 
         Min and max are exact, so box tests on these prune without rounding.
         """
-        cliques = self.cells.cliques
-        sizes = np.fromiter(map(len, cliques), dtype=np.intp, count=len(cliques))
-        flat = np.fromiter(chain.from_iterable(cliques), dtype=np.intp, count=int(sizes.sum()))
+        cell, flat = self._members
         pts = self.coords.points[flat]
-        starts = np.cumsum(sizes) - sizes
+        starts = np.searchsorted(cell, np.arange(len(self)))
         return np.minimum.reduceat(pts, starts, axis=0), np.maximum.reduceat(pts, starts, axis=0)
+
+    @cached_property
+    def incidence(self) -> np.ndarray:
+        """Cell-vertex incidence, one ``np.packbits`` row of vertex bits per cell."""
+        inc = np.zeros((len(self), self.coords.n), bool)
+        inc[self._members] = True
+        return np.packbits(inc, axis=1)
 
     @cached_property
     def cell_sets(self) -> list[frozenset]:
@@ -125,7 +138,9 @@ def _common_point(system: ConvexCellSystem, ids: tuple[int, ...]) -> bool:
     """Exact decision for two or more distinct cell ids, cheapest test first.
 
     A shared vertex is a common point and disjoint boxes rule one out; only
-    the cases left between them reach the rational LP.
+    the cases left between them reach the rational LP.  The same decision
+    as ``_meet`` for one row, on frozensets: one-row arrays cost more than
+    the sets for the one-at-a-time callers of `hulls_intersect`.
     """
     sets = system.cell_sets
     common = sets[ids[0]]
@@ -140,13 +155,15 @@ def _common_point(system: ConvexCellSystem, ids: tuple[int, ...]) -> bool:
     return _exact.hulls_common_point([system.cell_points(i) for i in ids])
 
 
-def _box_overlap_pairs(los: np.ndarray, his: np.ndarray):
-    """Index pairs i < j whose boxes overlap, in lexicographic order.
+def _box_overlap_pairs(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (i, j), i < j, of the cell pairs whose boxes overlap, in
+    lexicographic order.
 
     One broadcast comparison per block of rows keeps memory at
     O(block * k) instead of O(k^2).
     """
     k, dim = los.shape
+    firsts, seconds = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
     for start in range(0, k, _PAIR_BLOCK):
         stop = min(start + _PAIR_BLOCK, k)
         ok = np.triu(np.ones((stop - start, k - start), dtype=bool), 1)
@@ -155,45 +172,48 @@ def _box_overlap_pairs(los: np.ndarray, his: np.ndarray):
             hi = np.minimum(his[start:stop, c, None], his[None, start:, c])
             ok &= lo <= hi
         rows, cols = np.nonzero(ok)
-        yield from zip((rows + start).tolist(), (cols + start).tolist())
+        firsts.append(rows + start)
+        seconds.append(cols + start)
+    return np.concatenate(firsts), np.concatenate(seconds)
+
+
+def _meet(system: ConvexCellSystem, rows: np.ndarray) -> np.ndarray:
+    """Whether the hulls of the cells of each row share a point, exactly.
+
+    A shared vertex, read from the packed incidence, is a common point, and
+    disjoint boxes rule one out; only the rows left between them reach
+    ``_exact.hulls_common_point``, one at a time.
+    """
+    inc = system.incidence
+    common = inc[rows[:, 0]]
+    for c in range(1, rows.shape[1]):
+        common &= inc[rows[:, c]]
+    met = common.any(axis=1)
+    rest = np.flatnonzero(~met)
+    los, his = system.boxes
+    sub = rows[rest]
+    rest = rest[np.all(los[sub].max(axis=1) <= his[sub].min(axis=1), axis=1)]
+    for r in rest.tolist():
+        met[r] = _exact.hulls_common_point([system.cell_points(i) for i in rows[r].tolist()])
+    return met
 
 
 def build_nerve(system: ConvexCellSystem, cap: int = 2) -> NerveComplex:
     """Nerve of the cell cover up to dimension cap.
 
     Candidate edges are the box-overlapping cell pairs, found in bulk by a
-    blocked broadcast test.  Each accepted edge enters the neighbour sets
-    of its cells, and a simplex s is extended only by the cells after s[-1]
-    that neighbour every cell of s (Zomorodian's incremental expansion).
-    Every candidate is then decided exactly, as in `hulls_intersect`.
+    blocked broadcast test.  The nerve is the flag expansion
+    ``rips._flag_rows`` of that candidate graph with every level filtered
+    once by the exact decision of ``_meet``, as in `hulls_intersect`.
+    Every face of a nerve simplex is in the nerve, its prefix and its
+    edges included, so each level's candidates hold all of that level's
+    nerve simplices, and the filter keeps exactly those.
     """
     k = len(system)
-    los, his = system.boxes
-    # later_nbrs[i] holds the cells j > i that form a nerve edge with i
-    later_nbrs: list[set[int]] = [set() for _ in range(k)]
-    groups: dict[int, list[tuple[int, ...]]] = {0: [(i,) for i in range(k)]}
-    frontier: list[tuple[int, ...]] = []
-    if cap >= 1:
-        for i, j in _box_overlap_pairs(los, his):
-            if _common_point(system, (i, j)):
-                later_nbrs[i].add(j)
-                frontier.append((i, j))
-        groups[1] = frontier
-    for dim in range(2, cap + 1):
-        nxt = []
-        for s in frontier:
-            common = later_nbrs[s[-1]]
-            for v in s[:-1]:
-                common = common & later_nbrs[v]
-            for j in sorted(common):
-                if _common_point(system, s + (j,)):
-                    nxt.append(s + (j,))
-        groups[dim] = sorted(nxt)
-        frontier = nxt
-    rows = {
-        d: np.fromiter(chain.from_iterable(g), np.int64).reshape(len(g), d + 1)
-        for d, g in groups.items()
-    }
+    cand = np.zeros((k, k), bool)
+    cand[_box_overlap_pairs(*system.boxes)] = True
+    rows = {0: np.arange(k, dtype=np.int64)[:, None]}
+    rows.update(_flag_rows(cand, cap, keep=lambda r: _meet(system, r)))
     nerve = SimplicialComplex(k, cap, rows)
     nerve.validate_face_closed()
     return NerveComplex(nerve, system.cells)

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ripshadow.limits
@@ -34,7 +34,8 @@ from ripshadow.limits import (
     run_metric_comparability,
     run_projection_check,
 )
-from ripshadow.models import Circle, SamplerSpec, sample, theta_graph
+from ripshadow.models import Circle, EmbeddedGraph, SamplerSpec, Trefoil, sample, theta_graph
+from ripshadow.oracle import brute_density
 from ripshadow.rips import build_rips, maximal_cliques
 from ripshadow.shadow import ConvexCellSystem, build_nerve
 
@@ -66,13 +67,16 @@ def test_default_sample_count_follows_the_finest_scale():
 
 
 def test_measured_density_on_the_theta_graph_matches_the_dense_formula():
+    # the grid scan, kept as the oracle, is the dense formula blocked by rows;
+    # here the closed form lies between the grid's maximum and the oracle's value
     g = theta_graph()
     params = np.random.default_rng(3).uniform(0.0, g.length, size=100)
     grid_n = 2048  # eight blocks of grid rows
     grid = np.arange(grid_n) * (g.length / grid_n)
     d = np.asarray(g.geodesic_param_distance(grid[:, None], params[None, :]))
-    want = float(d.min(axis=1).max()) + g.length / (2.0 * grid_n)
-    assert measured_density(g, params) == want
+    grid_max = float(d.min(axis=1).max())
+    assert brute_density(g, params) == grid_max + g.length / (2.0 * grid_n)
+    assert grid_max <= measured_density(g, params) <= brute_density(g, params)
 
 
 def test_measured_density_bounds_the_true_gap_from_above():
@@ -83,6 +87,61 @@ def test_measured_density_bounds_the_true_gap_from_above():
     assert density >= c.length / 50 / 2.0  # covering radius of an even grid
     # the reported value includes the grid half-step, so it never understates
     assert density <= c.length / 50 / 2.0 + c.length / 2048.0
+
+
+def _random_straight_line_graph(rng) -> EmbeddedGraph:
+    """A random tree on 2 to 9 vertices plus up to three chords, in the
+    plane or in space; trees have leaves, and a second component is added
+    at times."""
+    v = int(rng.integers(2, 10))
+    edges = {(int(rng.integers(0, k)), k) for k in range(1, v)}
+    for _ in range(int(rng.integers(0, 4))):
+        a, b = sorted(rng.choice(v, size=2, replace=False).tolist())
+        edges.add((a, b))
+    if rng.random() < 0.2:
+        edges.add((v, v + 1))
+        v += 2
+    return EmbeddedGraph(rng.normal(size=(v, int(rng.integers(2, 4)))), sorted(edges))
+
+
+def _density_case(kind: int, rng):
+    """A model and parameters: a circle, a trefoil or a random graph whose
+    parameters leave some edges empty."""
+    n = int(rng.integers(1, 80))
+    if kind == 0:
+        model = Circle(float(rng.uniform(0.1, 3.0)))
+    elif kind == 1:
+        model = Trefoil(float(rng.choice([0.4, 1.0, 2.5])))
+    else:
+        model = _random_straight_line_graph(rng)
+        held = np.flatnonzero(rng.random(len(model.edges)) < 0.6)
+        if held.size:
+            k = rng.choice(held, size=n)
+            return model, model._starts[k] + rng.uniform(0.0, 1.0, n) * model._elens[k]
+    params = rng.uniform(0.0, model.length, n)
+    if rng.random() < 0.3:
+        params = params[:1] + rng.uniform(0.0, 0.05, n) * model.length  # clustered
+    return model, params % model.length
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2), st.integers(0, 2**32 - 1))
+def test_measured_density_lies_within_the_grid_scan(kind, seed):
+    model, params = _density_case(kind, np.random.default_rng(seed))
+    half = model.length / (2.0 * max(2048, 8 * len(params)))
+    grid_max = brute_density(model, params) - half
+    # every point of a closed curve lies within half a step of a grid point;
+    # on a graph the arc parameter jumps at each edge's end, which the grid
+    # reaches only from inside the edge, so there a point can be a whole
+    # step from the grid points of its edge (one at least, when the edge is
+    # a step long)
+    if not model.is_closed_curve():
+        assume(model._elens.min() >= 2.0 * half)
+    reach = half if model.is_closed_curve() else 2.0 * half
+    exact = measured_density(model, params)
+    # slack for the grid's own rounding, far below a half step
+    tol = 1e-12 * max(1.0, model.length)
+    assert grid_max - tol <= exact <= grid_max + reach + tol
 
 
 # ---------------------------------------------------------------------------

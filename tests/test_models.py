@@ -244,6 +244,20 @@ def test_graph_projection_names_the_first_ambiguous_row():
     assert params.tolist() == [1.0, 3.0] and dists.tolist() == [1.0, 1.0]
 
 
+def test_graph_projection_near_a_convex_corner_is_not_ambiguous():
+    # the foot lies on one segment, 7e-5 from the vertex it shares with the
+    # next; that segment's clamped foot, the vertex itself, is no rival
+    g = theta_graph(16)
+    X = np.array([[-0.82801656, -1.34132997]])
+    points, params, dists = g.project(X)
+    k, off = g._locate(params)
+    assert 0.0 < off[0] < g._elens[k[0]]  # inside its segment, off the vertex
+    assert np.array_equal(dists, np.linalg.norm(X - points, axis=1))
+    _assert_same_outcome(
+        _projection_outcome(g.project, X), _projection_outcome(lambda X: brute_graph_projection(g, X), X)
+    )
+
+
 def _trefoil_queries(scale: float, n: int, seed: int) -> np.ndarray:
     """Points within 0.05 * scale of the curve mixed with points up to
     6 * scale away, in random order."""

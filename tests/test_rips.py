@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from ripshadow.cli import _write_json
 from ripshadow.models import PointCloud, euclidean_metric
-from ripshadow.oracle import brute_rips
+from ripshadow.oracle import brute_maximal_cliques, brute_rips
 from ripshadow.rips import (
     CliqueBudgetError,
     CliqueList,
@@ -285,14 +285,30 @@ def test_maximal_cliques_on_the_square():
     assert sorted(cliques.cliques) == [(0, 1), (0, 3), (1, 2), (2, 3)]
     full = maximal_cliques(met, 2.0)
     assert sorted(full.cliques) == [(0, 1, 2, 3)]
+    # the budget counts cliques and stops at the first one past it
+    assert len(maximal_cliques(met, 1.001, budget=4)) == 4
+    with pytest.raises(CliqueBudgetError) as info:
+        maximal_cliques(met, 1.001, budget=3)
+    assert (info.value.budget, info.value.count) == (3, 4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1, max_size=12), st.data())
+def test_maximal_cliques_match_the_subset_scan(points, data):
+    # scales read off the distance matrix: every pair at exactly beta is left out
+    met = euclidean_metric(PointCloud(np.array(points, dtype=float)))
+    ties = sorted(set(met.d[met.d > 0].tolist()))
+    beta = data.draw(st.sampled_from(ties) if ties else st.just(1.0))
+    assert list(maximal_cliques(met, beta).cliques) == brute_maximal_cliques(met, beta)
 
 
 def test_clique_budget_guards_blowup():
     # a path graph has one maximal clique per edge, here more than the budget
     pts = np.stack([np.arange(12.0), np.zeros(12)], axis=1)
     met = euclidean_metric(PointCloud(pts))
-    with pytest.raises(CliqueBudgetError):
+    with pytest.raises(CliqueBudgetError) as info:
         maximal_cliques(met, 1.1, budget=10)
+    assert (info.value.budget, info.value.count) == (10, 11)
 
 
 def test_clique_list_requires_sorted_tuples():

@@ -171,6 +171,40 @@ def test_nerve_matches_the_subset_scan_oracle(sys_, cap):
     assert build_nerve(sys_, cap=cap).complex.simplices == brute_nerve(sys_, cap=cap).simplices
 
 
+def _lp_calls(monkeypatch, system) -> int:
+    """LP calls of one nerve at cap 2; every call must come from cells that
+    share no vertex and whose boxes overlap."""
+    calls = []
+    hull_test, kernel = _exact.hulls_common_point, _exact.feasible_nonneg_eq
+
+    def checked(cells):
+        shared = set(map(tuple, cells[0].tolist()))
+        for c in cells[1:]:
+            shared &= set(map(tuple, c.tolist()))
+        assert not shared
+        lo = np.max([c.min(axis=0) for c in cells], axis=0)
+        assert np.all(lo <= np.min([c.max(axis=0) for c in cells], axis=0))
+        return hull_test(cells)
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(_exact, "hulls_common_point", checked)
+    monkeypatch.setattr(_exact, "feasible_nonneg_eq", counted)
+    build_nerve(system, cap=2)
+    return len(calls)
+
+
+def test_nerve_sends_the_lp_only_undecided_candidates(monkeypatch):
+    # shared vertices and disjoint boxes are settled without the LP
+    assert _lp_calls(monkeypatch, _CROSSING) == 1
+    assert _lp_calls(monkeypatch, _NEAR_MISS) == 1
+    assert _lp_calls(monkeypatch, _circle_system(200, 0.3)) == 0
+    assert _lp_calls(monkeypatch, _circle_system(200, 0.3, seed=0, tau=0.05)) == 2
+    assert _lp_calls(monkeypatch, _circle_system(200, 0.3, seed=2, tau=0.05)) == 1
+
+
 def test_nerve_edge_cases():
     segs = _system([[0, 0], [1, 0], [3, 0], [4, 0], [6, 0], [7, 0]], [(0, 1), (2, 3), (4, 5)])
     # cap 0 keeps only the vertices, whatever overlaps
@@ -196,7 +230,7 @@ def test_boxes_and_pair_candidates_match_per_cell_loops():
         np.maximum(los[:, None], los[None]) <= np.minimum(his[:, None], his[None]), axis=2
     )
     want = [tuple(p) for p in np.argwhere(np.triu(dense, 1)).tolist()]
-    assert list(_box_overlap_pairs(los, his)) == want
+    assert list(zip(*(a.tolist() for a in _box_overlap_pairs(los, his)))) == want
     edges = build_nerve(sys_, cap=1).complex.simplices[1]
     assert edges == sorted(edges)
     assert set(edges) <= set(want)
