@@ -20,7 +20,6 @@ import json
 import os
 import sys
 import tempfile
-from itertools import chain
 
 import numpy as np
 
@@ -52,7 +51,7 @@ from .models import (
 )
 from .oracle import OracleBudgetError, brute_homology, brute_rips
 from .reconstruct import build_curve_K
-from .rips import SimplicialComplex, build_rips, maximal_cliques
+from .rips import IntRows, SimplicialComplex, build_rips, maximal_cliques, rows_text
 from .shadow import ConvexCellSystem, build_nerve, raster_betti_2d
 
 EXIT_OK = 0
@@ -97,28 +96,33 @@ def _json_text(obj, level: int = 0) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2)``, indented to ``level``.
 
     Dicts with string keys are walked key by key, and a list of integer
-    lists (simplices, cells) is filled into one ``%d`` template per row
-    width; every other value goes to ``json.dumps``.  Only exact ``int``
-    vertices take the template, so bools and floats keep json's spelling,
-    and JSON text holds no raw newline but the indentation ones, so the
-    bytes are json's.
+    lists (simplices, cells, tables) is rendered from int64 arrays by
+    ``rips.rows_text``; every other value, and a row list with an integer
+    outside int64, goes to ``json.dumps``.  Only exact ``int`` values take
+    the arrays, so bools and floats keep json's spelling, and JSON text
+    holds no raw newline but the indentation ones, so the bytes are json's.
     """
     pad = "\n" + "  " * level
     inner = pad + "  "
     if type(obj) is dict and obj and all(type(k) is str for k in obj):
         items = [json.dumps(k) + ": " + _json_text(v, level + 1) for k, v in sorted(obj.items())]
         return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if type(obj) is list and set(map(type, obj)) == {list}:
-        flat = tuple(chain.from_iterable(obj))
-        if set(map(type, flat)) <= {int}:
-            cell = inner + "  "
-            rows = {
-                width: "[" + cell + ("," + cell).join(["%d"] * width) + inner + "]" if width else "[]"
-                for width in set(map(len, obj))
-            }
-            body = ("," + inner).join(map(rows.__getitem__, map(len, obj))) % flat
-            return "[" + inner + body + pad + "]"
+    rows = obj if isinstance(obj, IntRows) else _int_rows(obj)
+    if rows is not None:
+        return rows_text(rows, level).decode("ascii")
     return json.dumps(obj, sort_keys=True, indent=2).replace("\n", pad)
+
+
+def _int_rows(obj) -> IntRows | None:
+    """A nonempty list of lists of int64 ``int`` values as ``IntRows``, or None."""
+    if type(obj) is not list or set(map(type, obj)) != {list}:
+        return None
+    if not {type(v) for row in obj for v in row} <= {int}:
+        return None
+    try:
+        return IntRows.from_lists(obj)
+    except ValueError:  # a value outside int64
+        return None
 
 
 def _points_csv(points: np.ndarray) -> str:

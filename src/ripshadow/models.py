@@ -700,7 +700,9 @@ class EmbeddedGraph(Model):
         the lowest edge index.  A row is ambiguous when another segment's
         nearest point is as close, within tolerance, and apart from it.  A
         nearest point clamped to a vertex of the winning segment lies on
-        that segment, whose nearest point is unique, so it never competes."""
+        that segment, whose nearest point is unique, so it never competes.
+        Each parameter lies on the winning edge: one at the edge's head is
+        the largest float below the next edge's start."""
         X = np.asarray(X, dtype=float)
         rows = np.arange(len(X))
         # (row, edge) tables
@@ -725,7 +727,9 @@ class EmbeddedGraph(Model):
             )
             exc.row = int(tied[0])
             raise exc
-        return q0, self._starts[k0] + tt[rows, k0] * self._elens[k0], d0
+        params = self._starts[k0] + tt[rows, k0] * self._elens[k0]
+        # a foot at its edge's head would read as the next edge's start
+        return q0, np.minimum(params, np.nextafter(self._starts[k0 + 1], -math.inf)), d0
 
     @cached_property
     def _vertex_dist(self) -> np.ndarray:

@@ -316,7 +316,8 @@ def brute_circle_projection(circle, X):
 def brute_graph_projection(graph, X):
     """The graph's projection of every row of X, one segment at a time:
     (points, params, distances).  A segment whose nearest point is clamped
-    to a vertex of the nearest segment does not compete."""
+    to a vertex of the nearest segment does not compete, and a parameter
+    that reaches the next edge's start is moved one float below it."""
 
     def project_one(x):
         best = []
@@ -339,7 +340,10 @@ def brute_graph_projection(graph, X):
                 raise AmbiguousProjectionError(
                     "point is equidistant from two separated strands of the graph"
                 )
-        return q0, float(graph._starts[k0] + t0 * graph._elens[k0]), d0
+        t = float(graph._starts[k0] + t0 * graph._elens[k0])
+        end = float(graph._starts[k0 + 1])
+        # keep the parameter on edge k0, short of the next edge's start
+        return q0, (t if t < end else math.nextafter(end, -math.inf)), d0
 
     return _project_rows(project_one, X)
 

@@ -31,11 +31,20 @@ and m that the constructor accepts.  Membership, face lookups and the
 images of simplicial maps follow the same codes through
 ``np.searchsorted``, one column at a time, for whole arrays of simplices
 at once.
+
+A complex file is ``json.dumps(to_json_dict(), sort_keys=True, indent=2)``
+and a newline: keys ``cap``, ``n`` and ``simplices``, the last a flat list
+of vertex lists, dimension by dimension.  ``rows_text`` renders such lists
+from the row arrays, and ``SimplicialComplex.load`` parses a file in this
+layout on arrays, keeping the parse only when it renders back to the same
+bytes; any other JSON with these keys goes through ``json``.
 """
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -46,8 +55,17 @@ from .models import MetricMatrix
 # simplices in a dimension, and 2**31 squared is 2**62
 _MAX_VERTICES = 2**63 - 1
 _MAX_SIMPLICES = 2**31
-# candidate rows per block of parents in the flag expansion
+# candidate rows per block of parents in the flag expansion, and rows per
+# block of a rendered complex file
 _FLAG_BLOCK = 1 << 15
+# a complex file as the writer lays it out: json.dumps(to_json_dict(),
+# sort_keys=True, indent=2) and a newline; n and cap of at most 18 digits
+_FILE_HEAD = re.compile(
+    rb'\{\n  "cap": (0|[1-9][0-9]{0,17}),\n  "n": (0|[1-9][0-9]{0,17}),\n  "simplices": '
+)
+_FILE_TAIL = b"\n}\n"
+# ``bytes.translate`` table: every byte but a digit becomes a space
+_DIGITS_ONLY = bytes(c if 48 <= c <= 57 else 32 for c in range(256))
 
 
 class CliqueBudgetError(RuntimeError):
@@ -94,6 +112,16 @@ def _prefix_ranks(rows: np.ndarray) -> tuple[list, np.ndarray]:
     return levels, rank
 
 
+def _ahead(rows: np.ndarray) -> np.ndarray:
+    """Whether each row of an (m, k) array, k >= 1, precedes the next one
+    in strict lexicographic order, decided from the last column to the first."""
+    ahead = rows[:-1, -1] < rows[1:, -1]
+    for c in range(rows.shape[1] - 2, -1, -1):
+        a, b = rows[:-1, c], rows[1:, c]
+        ahead = (a < b) | ((a == b) & ahead)
+    return ahead
+
+
 def _check_rows(rows: np.ndarray, d: int, n: int) -> None:
     """Raise for the first row that is not strictly increasing or has a
     vertex outside 0..n-1, then for the first two rows that are not in
@@ -113,12 +141,7 @@ def _check_rows(rows: np.ndarray, d: int, n: int) -> None:
         if malformed[bad[0]]:
             raise ValueError(f"malformed simplex {s} in dimension {d}")
         raise ValueError(f"vertex out of range in {s}")
-    # row i precedes row i+1, decided from the last column to the first
-    ahead = rows[:-1, d] < rows[1:, d]
-    for c in range(d - 1, -1, -1):
-        a, b = rows[:-1, c], rows[1:, c]
-        ahead = (a < b) | ((a == b) & ahead)
-    wrong = np.flatnonzero(~ahead)
+    wrong = np.flatnonzero(~_ahead(rows))
     if wrong.size:
         i = int(wrong[0])
         s, t = (tuple(r) for r in rows[i : i + 2].tolist())
@@ -152,6 +175,212 @@ def _check_header(n: int, cap: int, dims) -> None:
     for d in dims:
         if d > cap:
             raise ValueError(f"simplex of dimension {d} above cap {cap}")
+
+
+def _first_use(widths: np.ndarray) -> list[int]:
+    """Distinct values of an int array in order of first appearance."""
+    kinds, first = np.unique(widths, return_index=True)
+    return kinds[np.argsort(first)].tolist()
+
+
+class IntRows(list):
+    """A read-only list of integer rows of mixed widths, held as arrays.
+
+    ``widths[i]`` is the length of row i, and ``groups`` maps each width,
+    in order of first use, to its rows as an (m, width) ``int64`` array in
+    list order.  Read as a list (length, iteration, indexing, equality) it
+    is the list of its rows, formed as Python lists on the first such
+    read, so ``json.dumps`` renders it as that list; ``rows_text`` renders
+    the same bytes from the arrays without forming a row.
+    """
+
+    def __init__(self, widths: np.ndarray, groups: dict[int, np.ndarray]):
+        super().__init__()
+        self.widths = widths
+        self.groups = groups
+
+    @classmethod
+    def from_lists(cls, lists) -> "IntRows":
+        """Rows of a list of integer lists.  Raises naming the first width,
+        in order of first use, that holds a value outside int64."""
+        widths = np.fromiter(map(len, lists), np.int64, len(lists))
+        groups = {}
+        for w in _first_use(widths):
+            picked = [lists[i] for i in np.flatnonzero(widths == w).tolist()]
+            try:
+                group = np.fromiter(chain.from_iterable(picked), np.int64, w * len(picked))
+            except OverflowError as exc:
+                raise ValueError(f"vertex out of range in dimension {w - 1}: {exc}") from exc
+            groups[w] = group.reshape(len(picked), w)
+        return cls(widths, groups)
+
+    @classmethod
+    def from_flat(cls, values: np.ndarray, widths: np.ndarray) -> "IntRows":
+        """Rows that concatenate to ``values``, one per entry of ``widths``;
+        the rows of a width that follow each other are a view of ``values``."""
+        ends = np.cumsum(widths)
+        starts = ends - widths
+        groups = {}
+        for w in _first_use(widths):
+            at = np.flatnonzero(widths == w)
+            if at[-1] - at[0] == len(at) - 1:
+                groups[w] = values[starts[at[0]] : ends[at[-1]]].reshape(-1, w)
+            else:
+                groups[w] = values[starts[at, None] + np.arange(w)]
+        return cls(widths, groups)
+
+    @cached_property
+    def _lists(self) -> list[list[int]]:
+        out = [None] * len(self.widths)
+        for w, rows in self.groups.items():
+            for i, row in zip(np.flatnonzero(self.widths == w).tolist(), rows.tolist()):
+                out[i] = row
+        return out
+
+    def __len__(self) -> int:
+        return len(self.widths)
+
+    def __iter__(self):
+        return iter(self._lists)
+
+    def __getitem__(self, i):
+        return self._lists[i]
+
+    def __eq__(self, other) -> bool:
+        return self._lists == (other._lists if isinstance(other, IntRows) else other)
+
+    def __ne__(self, other) -> bool:
+        return not self == other
+
+    def __repr__(self) -> str:
+        return repr(self._lists)
+
+
+def _group_text(rows: np.ndarray, inner: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """The JSON text of each row of an (m, w) int64 array, one list item
+    deeper than ``inner`` and preceded by ``,`` and ``inner``, as the bytes
+    of all rows in order, and the (m, c) mask they were compressed with.
+
+    Each row is laid out in c columns: the separator; per value the piece
+    ``[`` or ``,``, the cell's newline and indent, a sign column when the
+    group holds a negative value, and as many digit columns as its longest
+    magnitude; then the row's closing piece.  The mask drops the unused
+    sign and leading-digit columns.
+    """
+    m, w = rows.shape
+    cell = inner + b"  "
+    neg = rows < 0
+    mag = rows.astype(np.uint64)
+    mag[neg] = -mag[neg]  # modulo 2**64, so -2**63 has magnitude 2**63
+    digits = len(str(int(mag.max()))) if mag.size else 1
+    if digits <= 9:
+        mag = mag.astype(np.uint32)  # twice as fast to divide
+    sign = int(neg.any())
+    slot = len(b"," + cell) + sign + digits
+    lead, close = b"," + inner, inner + b"]" if w else b"[]"
+    out = np.empty((m, len(lead) + w * slot + len(close)), np.uint8)
+    keep = np.ones(out.shape, bool)
+    # (m, w, slot) views of the value columns
+    span = slice(len(lead), len(lead) + w * slot)
+    values, shown = out[:, span].reshape(m, w, slot), keep[:, span].reshape(m, w, slot)
+    out[:, : len(lead)] = np.frombuffer(lead, np.uint8)
+    values[:] = np.frombuffer(b"," + cell + b"-" * (sign + digits), np.uint8)
+    values[:, :1, 0] = ord("[")
+    out[:, span.stop :] = np.frombuffer(close, np.uint8)
+    if sign:
+        shown[:, :, slot - digits - 1] = neg
+    for i in range(digits):
+        if i:
+            shown[:, :, slot - 1 - i] = mag > 0
+        values[:, :, slot - 1 - i] = mag % 10 + ord("0")
+        mag //= 10
+    return out[keep], keep
+
+
+def _text_blocks(rows: IntRows, level: int):
+    """The bytes of ``rows_text(rows, level)`` as consecutive uint8 arrays.
+
+    Rows of one width that follow each other are rendered in blocks of
+    ``_FLAG_BLOCK``, which bounds the temporaries; rows whose widths
+    interleave are rendered per width and moved to their places.
+    """
+    pad = b"\n" + b"  " * level
+    inner = pad + b"  "
+    if not len(rows):
+        yield np.frombuffer(b"[]", np.uint8)
+        return
+    widths = rows.widths
+    if np.count_nonzero(widths[1:] != widths[:-1]) == len(rows.groups) - 1:
+        # one run per width: the groups follow each other
+        blocks = (
+            _group_text(group[i : i + _FLAG_BLOCK], inner)[0]
+            for group in rows.groups.values()
+            for i in range(0, len(group), _FLAG_BLOCK)
+        )
+    else:
+        texts = {w: _group_text(group, inner) for w, group in rows.groups.items()}
+        at = {w: np.flatnonzero(widths == w) for w in texts}
+        size = np.empty(len(widths), np.int64)
+        for w, (_, keep) in texts.items():
+            size[at[w]] = keep.sum(axis=1)
+        ends = np.cumsum(size)
+        body = np.empty(int(ends[-1]), np.uint8)
+        for w, (chars, keep) in texts.items():
+            n = size[at[w]]
+            shift = ends[at[w]] - n - (np.cumsum(n) - n)
+            body[np.repeat(shift, n) + np.arange(len(chars))] = chars
+        blocks = iter([body])
+    first = next(blocks)
+    first[0] = ord("[")  # the first row's separator opens the list
+    yield first
+    yield from blocks
+    yield np.frombuffer(pad + b"]", np.uint8)
+
+
+def rows_text(rows: IntRows, level: int) -> bytes:
+    """``json.dumps(rows, indent=2)`` as ASCII bytes, its lines after the
+    first indented by ``level`` more steps."""
+    return b"".join(_text_blocks(rows, level))
+
+
+def _read_file(data: bytes) -> tuple[int, int, IntRows] | None:
+    """``(n, cap, rows)`` of a complex file in the writer's layout, or
+    None for any other text, including any value of more than 18 digits.
+
+    Every non-digit is read as a space and the digits parsed as one int64
+    array, whose first two values are ``cap`` and ``n``; row i holds the
+    digit runs that end between the (i-1)-th and the i-th ``]``.  The parse
+    stands only when the rows render back to the same bytes, which also
+    rules out signs, leading zeros and every other spelling the rendering
+    does not produce.
+    """
+    head = _FILE_HEAD.match(data)
+    if head is None or not data.endswith(_FILE_TAIL):
+        return None
+    spaced = data.translate(_DIGITS_ONLY)
+    digit = np.frombuffer(spaced, np.uint8) != ord(" ")
+    # the text starts and ends with a non-digit, so the digit runs are
+    # [starts[i], ends[i]); the first two are cap and n
+    starts, ends = (np.flatnonzero(digit[1:] != digit[:-1]) + 1).reshape(-1, 2)[2:].T
+    del digit
+    if len(starts) and int((ends - starts).max()) > 18:
+        return None
+    values = np.fromstring(spaced, np.int64, sep=" ")[2:]
+    del spaced
+    raw = np.frombuffer(data, np.uint8)
+    closes = np.flatnonzero(raw == ord("]"))
+    widths = np.diff(np.searchsorted(ends, closes[:-1], "right"), prepend=0)
+    if len(values) != len(starts) or not widths.all():
+        return None
+    rows = IntRows.from_flat(values, widths)
+    at = head.end()
+    for block in _text_blocks(rows, 1):
+        if not np.array_equal(raw[at : at + len(block)], block):
+            return None
+        at += len(block)
+    if at != len(data) - len(_FILE_TAIL):
+        return None
+    return int(head[2]), int(head[1]), rows
 
 
 class SimplicialComplex:
@@ -261,10 +490,12 @@ class SimplicialComplex:
                 self.face_positions(d)
 
     def to_json_dict(self) -> dict:
-        flat = []
-        for d in sorted(self._rows):
-            flat += self._rows[d].tolist()
-        return {"n": self.n, "cap": self.cap, "simplices": flat}
+        """``n``, ``cap`` and the simplices, dimension by dimension, as one
+        ``IntRows`` over the row arrays."""
+        dims = sorted(self._rows)
+        widths = np.repeat(np.array(dims, np.int64) + 1, [len(self._rows[d]) for d in dims])
+        rows = IntRows(widths, {d + 1: self._rows[d] for d in dims})
+        return {"n": self.n, "cap": self.cap, "simplices": rows}
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SimplicialComplex":
@@ -277,36 +508,44 @@ class SimplicialComplex:
         for name, value in (("n", n), ("cap", cap)):
             if type(value) is not int:
                 raise ValueError(f"{name} must be an integer, got {json.dumps(value)}")
-        if type(flat) is not list or set(map(type, flat)) - {list}:
+        if not isinstance(flat, list) or set(map(type, flat)) - {list}:
             raise ValueError("simplices must be a list of vertex lists")
         if set(map(type, chain.from_iterable(flat))) - {int}:
             s = next(s for s in flat if any(type(v) is not int for v in s))
             v = next(v for v in s if type(v) is not int)
             raise ValueError(f"non-integer vertex {json.dumps(v)} in simplex {json.dumps(s)}")
-        sizes = np.fromiter(map(len, flat), np.int64, len(flat))
-        kinds = _distinct(sizes).tolist() if len(flat) else []
-        if 0 in kinds:
+        if not all(flat):
             raise ValueError("malformed simplex () in dimension -1")
-        kinds.sort(key=lambda size: int(np.argmax(sizes == size)))  # order of first use
+        return cls._from_groups(n, cap, IntRows.from_lists(flat).groups)
+
+    @classmethod
+    def _from_groups(cls, n: int, cap: int, groups: dict[int, np.ndarray]) -> "SimplicialComplex":
+        """Complex from int64 simplex rows grouped by size, sorted and
+        deduplicated, checked face-closed."""
         rows = {}
-        for size in kinds:
-            picked = [flat[i] for i in np.flatnonzero(sizes == size).tolist()]
-            try:
-                group = np.fromiter(chain.from_iterable(picked), np.int64, size * len(picked))
-            except OverflowError as exc:
-                raise ValueError(f"vertex out of range in dimension {size - 1}: {exc}") from exc
-            group = group.reshape(len(picked), size)
-            rank = _prefix_ranks(group)[1]
-            rows[size - 1] = np.empty((int(rank.max()) + 1, size), np.int64)
-            rows[size - 1][rank] = group
+        for size, group in groups.items():
+            if not _ahead(group).all():
+                rank = _prefix_ranks(group)[1]
+                rows[size - 1] = np.empty((int(rank.max()) + 1, size), np.int64)
+                rows[size - 1][rank] = group
+            else:
+                rows[size - 1] = group
         cx = cls(n, cap, rows)
         cx.validate_face_closed()
         return cx
 
     @classmethod
     def load(cls, path: str) -> "SimplicialComplex":
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
+        """Complex of a JSON file with the keys of ``to_json_dict``.  A file
+        in the writer's layout is parsed on arrays; any other goes through
+        ``json`` and ``from_json_dict``."""
+        with open(path, "rb") as fh:
+            read = _read_file(fh.read())
+        if read is None:
+            with open(path) as fh:
+                return cls.from_json_dict(json.load(fh))
+        n, cap, rows = read
+        return cls._from_groups(n, cap, rows.groups)
 
 
 @dataclass(frozen=True)

@@ -210,11 +210,11 @@ def test_circle_projection_is_bit_equal_to_the_oracle(dim, n, seed):
     )
 
 
-def _random_graph(rng) -> EmbeddedGraph:
-    """A closed 3-d polygon on 4 to 9 vertices with one chord."""
+def _random_graph(rng, dim: int = 3) -> EmbeddedGraph:
+    """A closed polygon in R^dim on 4 to 9 vertices with one chord."""
     v = int(rng.integers(4, 10))
     edges = [(k, (k + 1) % v) for k in range(v)] + [(0, v // 2)]
-    return EmbeddedGraph(rng.normal(size=(v, 3)), edges)
+    return EmbeddedGraph(rng.normal(size=(v, dim)), edges)
 
 
 @settings(max_examples=40, deadline=None)
@@ -230,6 +230,26 @@ def test_graph_projection_is_bit_equal_to_the_oracle(theta, n, seed):
     _assert_same_outcome(
         _projection_outcome(g.project, X), _projection_outcome(lambda X: brute_graph_projection(g, X), X)
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["theta", 2, 3]), st.integers(1, 100), st.integers(0, 2**32 - 1))
+def test_graph_parameters_map_back_to_their_feet(kind, n, seed):
+    # rows near the graph, at its vertices and beyond them, so that many
+    # feet are clamped to a vertex at the head of the winning edge
+    rng = np.random.default_rng(seed)
+    g = theta_graph(int(rng.integers(2, 20))) if kind == "theta" else _random_graph(rng, kind)
+    near = g.points_at(rng.uniform(0.0, g.length, n))
+    noisy = near + rng.normal(size=near.shape) * rng.choice([1e-3, 0.05, 1.0])
+    X = np.concatenate([noisy, g.vertices, 1.5 * g.vertices])
+    scale = max(1.0, g.length)
+    for x in X:
+        try:
+            points, params, _ = g.project(x[None])
+        except AmbiguousProjectionError:
+            continue
+        assert np.abs(g.points_at(params) - points).max() <= 1e-12 * scale
+        assert np.array_equal(params, brute_graph_projection(g, x[None])[1])
 
 
 def test_graph_projection_names_the_first_ambiguous_row():
@@ -253,6 +273,20 @@ def test_graph_projection_near_a_convex_corner_is_not_ambiguous():
     k, off = g._locate(params)
     assert 0.0 < off[0] < g._elens[k[0]]  # inside its segment, off the vertex
     assert np.array_equal(dists, np.linalg.norm(X - points, axis=1))
+    _assert_same_outcome(
+        _projection_outcome(g.project, X), _projection_outcome(lambda X: brute_graph_projection(g, X), X)
+    )
+
+
+def test_graph_parameter_at_an_edge_head_reads_back_as_the_foot():
+    # the foot (1, 0) is the head of edge 15; the end of that edge's
+    # parameter range is the start of edge 16, the vertex (-1, 0)
+    g = theta_graph()
+    X = np.array([[1.5, 0.0]])
+    points, params, _ = g.project(X)
+    assert points.tolist() == [[1.0, 0.0]]
+    assert g._locate(params)[0].tolist() == [15]
+    assert np.abs(g.points_at(params) - points).max() <= 1e-12
     _assert_same_outcome(
         _projection_outcome(g.project, X), _projection_outcome(lambda X: brute_graph_projection(g, X), X)
     )

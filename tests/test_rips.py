@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import json
+import os
 import re
+import tempfile
 from itertools import chain, combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,11 +20,13 @@ from ripshadow.oracle import brute_maximal_cliques, brute_rips
 from ripshadow.rips import (
     CliqueBudgetError,
     CliqueList,
+    IntRows,
     SimplicialComplex,
     SimplicialMap,
     build_rips,
     inclusion_map,
     maximal_cliques,
+    rows_text,
 )
 
 
@@ -270,6 +276,105 @@ def test_complex_is_face_closed_and_json_stable(tmp_path):
     back = SimplicialComplex.load(str(path))
     assert back.simplices == complex_.simplices
     assert back.n == complex_.n and back.cap == complex_.cap
+
+
+def test_int_rows_read_as_the_list_of_their_rows():
+    # interleaved widths, an empty row and both ends of int64
+    lists = [[3, 4], [5], [0, 1], [], [-(2**63), 2**63 - 1]]
+    rows = IntRows.from_lists(lists)
+    assert len(rows) == 5 and list(rows) == lists and rows[2] == [0, 1] and rows[-1] == lists[-1]
+    assert rows == lists and rows == IntRows.from_lists(lists) and rows != lists[:-1]
+    assert repr(rows) == repr(lists) and json.dumps(rows) == json.dumps(lists)
+    assert rows_text(rows, 1).decode() == json.dumps(lists, indent=2).replace("\n", "\n  ")
+
+
+@st.composite
+def _file_complexes(draw):
+    """Face-closed complexes on up to 20,000 vertices, so that vertex ids
+    have 1 to 5 digits, with some dimensions up to the cap left empty."""
+    n = draw(st.sampled_from([0, 1, 10, 99, 100, 10_000, 20_000]) | st.integers(0, 20_000))
+    cap = draw(st.integers(0, 3))
+    tops = []
+    if n >= 2 and cap >= 1:
+        simplex = st.sets(st.integers(0, n - 1), min_size=2, max_size=cap + 1)
+        tops = draw(st.lists(simplex.map(sorted).map(tuple), max_size=30))
+    return _closure_on_arrays(n, cap, tops)
+
+
+def _load_outcome(load, path):
+    try:
+        return load(path)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _json_route(path):
+    with open(path) as fh:
+        return SimplicialComplex.from_json_dict(json.load(fh))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_file_complexes())
+def test_written_complex_files_load_on_arrays(cx):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cx.json")
+        _write_json(path, cx.to_json_dict())
+        want = _json_route(path)
+        with mock.patch("json.loads", side_effect=AssertionError("the json route was taken")):
+            got = SimplicialComplex.load(path)
+    assert got == want == cx
+
+
+def _redump(obj: dict) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def _shuffled(obj: dict) -> str:
+    flat = obj["simplices"]
+    order = np.random.default_rng(3).permutation(len(flat))
+    return _redump({**obj, "simplices": [flat[i] for i in order] + flat[2:9]})
+
+
+# (mutation of the canonical text and of its object, does the array route
+# read it); the sign and the leading zero take an indent space, so that only
+# the reader's byte comparison, not the file length, can reject them
+_MUTATIONS = {
+    "negative-vertex": (lambda text, obj: text.replace("\n      3\n", "\n     -3\n", 1), False),
+    "leading-zero": (lambda text, obj: text.replace("\n      3\n", "\n     03\n", 1), False),
+    "19-digit-vertex": (
+        lambda text, obj: text.replace("\n      3\n", "\n      9999999999999999999\n", 1),
+        False,
+    ),
+    "19-digit-int64-vertex": (
+        lambda text, obj: text.replace("\n      3\n", "\n      1000000000000000003\n", 1),
+        False,
+    ),
+    "unsorted-and-duplicate-rows": (lambda text, obj: _shuffled(obj), True),
+    "missing-singleton": (
+        lambda text, obj: _redump({**obj, "simplices": [s for s in obj["simplices"] if s != [3]]}),
+        True,
+    ),
+    "crlf": (lambda text, obj: text.replace("\n", "\r\n"), False),
+    "no-final-newline": (lambda text, obj: text[:-1], False),
+    "extra-key-last": (lambda text, obj: _redump({**obj, "source": "x"}), False),
+    "extra-key-first": (lambda text, obj: _redump({**obj, "beta": 0.5}), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MUTATIONS))
+def test_mutated_complex_files_load_as_the_json_route_reads_them(tmp_path, name):
+    mutate, on_arrays = _MUTATIONS[name]
+    path = str(tmp_path / "cx.json")
+    _write_json(path, _closure_on_arrays(12, 2, [(0, 1, 2), (2, 3), (9, 10, 11)]).to_json_dict())
+    with open(path) as fh:
+        text = fh.read()
+    with open(path, "w", newline="") as fh:
+        fh.write(mutate(text, json.loads(text)))
+    want = _load_outcome(_json_route, path)
+    with mock.patch("json.loads", wraps=json.loads) as spy:
+        got = _load_outcome(SimplicialComplex.load, path)
+    assert got == want
+    assert spy.called is not on_arrays
 
 
 def test_has_simplex_requires_sorted_vertices():
