@@ -166,6 +166,10 @@ class Model:
         """The model point at each arc parameter of ts, one row each."""
         raise NotImplementedError
 
+    def tangent_at(self, ts) -> np.ndarray:
+        """The unit tangent at each arc parameter of ts, one row each."""
+        raise NotImplementedError
+
     def project(self, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Nearest model point of every row of X, shape (n, dim): (points,
         params, distances).  An ``AmbiguousProjectionError`` names the first
@@ -248,6 +252,8 @@ class Model:
 
 
 _atan2 = np.frompyfunc(math.atan2, 2, 1)
+_sin = np.frompyfunc(math.sin, 1, 1)
+_cos = np.frompyfunc(math.cos, 1, 1)
 
 
 class Circle(Model):
@@ -283,11 +289,12 @@ class Circle(Model):
         p[:, 1] += self.radius * np.sin(theta)
         return p
 
-    def tangent_at(self, t: float) -> np.ndarray:
-        theta = (t % self.length) / self.radius
-        v = np.zeros(self._dim)
-        v[0] = -math.sin(theta)
-        v[1] = math.cos(theta)
+    def tangent_at(self, ts) -> np.ndarray:
+        theta = (np.asarray(ts, dtype=float) % self.length) / self.radius
+        v = np.zeros((len(theta), self._dim))
+        # math.sin and math.cos, element by element: np.sin rounds differently
+        v[:, 0] = -_sin(theta).astype(float)
+        v[:, 1] = _cos(theta).astype(float)
         return v
 
     def project(self, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -427,7 +434,8 @@ class Trefoil(Model):
     """Trefoil knot  scale * (sin u + 2 sin 2u, cos u - 2 cos 2u, -sin 3u).
 
     Arc length is tabulated on a dense parameter grid.  Projection takes a
-    batch: a coarse scan over ``_SCAN`` curve points, ``_BLOCK`` query rows
+    batch: a coarse scan over those of ``_SCAN`` curve points, in tiles of
+    ``_TILE``, that can be among a row's nine nearest, ``_BLOCK`` query rows
     at a time to bound memory, then golden-section refinement of all rows
     at once, and of far scan minima that may tie with it (ambiguity test).
     """
@@ -475,29 +483,63 @@ class Trefoil(Model):
     def points_at(self, ts) -> np.ndarray:
         return _trefoil_point(self._param_of_arc(ts), self.scale)
 
-    def tangent_at(self, t: float) -> np.ndarray:
-        d = _trefoil_d1(self._param_of_arc(t), self.scale)
-        return d / np.linalg.norm(d)
+    def tangent_at(self, ts) -> np.ndarray:
+        d = _trefoil_d1(self._param_of_arc(ts), self.scale)
+        return d / np.sqrt(np.vecdot(d, d))[:, None]
 
     @cached_property
     def _scan_points(self):
         u = np.linspace(0.0, 2.0 * math.pi, self._SCAN, endpoint=False)
         return u, _trefoil_point(u, self.scale)
 
-    def project(self, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        X = np.asarray(X, dtype=float)
-        n, s = len(X), self.scale
-        u_grid, pts = self._scan_points
-        h = 2.0 * math.pi / self._SCAN
+    @cached_property
+    def _scan_tiles(self):
+        return _tile_spheres(self._scan_points[1][:, None], self._TILE)
+
+    def _nearest_scan_points(self, X):
+        """Column of the nearest scan point of each row of X, and the columns
+        and squared distances of the 2nd to 8th nearest.
+
+        Each ``_BLOCK`` of rows first scans the tile whose centre is nearest
+        to each row; the 9th smallest distance there bounds the row's 9th
+        smallest over all scan points.  Only the tiles whose spheres come
+        within that bound of some row of the block are scanned, in column
+        order, so every entry, minimum and tie is that of a full scan.
+        """
+        pts = self._scan_points[1]
+        centres, radii = self._scan_tiles
+        size, n = self._TILE, len(X)
         best = np.zeros(n, dtype=np.intp)
         near, near_d2 = np.zeros((n, 7), dtype=np.intp), np.zeros((n, 7))
+
+        def sq_dist(x, cols):
+            # summed coordinate by coordinate, in np.sum's order, as 2-d arrays
+            return sum((pts[cols, c] - x[:, c, None]) ** 2 for c in range(3))
+
         for lo in range(0, n, self._BLOCK):
             blk = slice(lo, lo + self._BLOCK)
-            # summed coordinate by coordinate, in np.sum's order, as 2-d arrays
-            d2 = sum((pts[:, c] - X[blk, c, None]) ** 2 for c in range(3))
-            best[blk] = np.argmin(d2, axis=1)
-            near[blk] = _second_to_eighth_nearest(d2)
-            near_d2[blk] = np.take_along_axis(d2, near[blk], axis=1)
+            centre_d = cdist(X[blk], centres)
+            own = np.argmin(centre_d, axis=1)[:, None] * size + np.arange(size)
+            ninth = np.sqrt(np.partition(sq_dist(X[blk], own), 8, axis=1)[:, 8])
+            # padded far above the rounding of the distances and the centres
+            bound = ninth[:, None] + 1e-9 * (ninth[:, None] + centre_d)
+            # a tile is left out only where every row proves it too far, so a
+            # row without a bound (not finite) scans every tile
+            tiles = np.flatnonzero(~np.all(centre_d - radii > bound, axis=0))
+            cols = (tiles[:, None] * size + np.arange(size)).ravel()
+            d2 = sq_dist(X[blk], cols)
+            best[blk] = cols[np.argmin(d2, axis=1)]
+            nearest = _second_to_eighth_nearest(d2)
+            near[blk] = cols[nearest]
+            near_d2[blk] = np.take_along_axis(d2, nearest, axis=1)
+        return best, near, near_d2
+
+    def project(self, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        X = np.asarray(X, dtype=float)
+        s = self.scale
+        u_grid = self._scan_points[0]
+        h = 2.0 * math.pi / self._SCAN
+        best, near, near_d2 = self._nearest_scan_points(X)
         u, f = self._golden(X, u_grid[best] - 2 * h, u_grid[best] + 2 * h)
         # ambiguity: another scan minimum, far away in parameter, equally close
         du = np.abs(u_grid[near] - u_grid[best][:, None]) % (2.0 * math.pi)
@@ -567,10 +609,15 @@ class Trefoil(Model):
         ``_PROBE``-th base row bounds each minimum from above.  A crossing
         between scan points j and j+1 lies within ``h * max speed`` of
         scan point j, so only tile pairs within the separation bound or
-        within the clearance bound plus twice that can hold a minimum.
+        within the clearance bound plus twice that can hold a minimum.  Of
+        those, a pair whose four corners lie within the arc exclusion holds
+        no far pair: arc length is monotone along a tile, and a tile is far
+        shorter than the gap between the exclusion zones, so no arc distance
+        inside exceeds the largest at the corners.
         """
         kappa = self._curvature_max
-        excl = min(0.5 * math.pi / kappa * 0.98, self.length / 4.0)
+        length = self.length
+        excl = min(0.5 * math.pi / kappa * 0.98, length / 4.0)
         n_base, n_scan, size = 2048, 4096, self._TILE
         ub = np.linspace(0.0, 2.0 * math.pi, n_base, endpoint=False)
         us = np.linspace(0.0, 2.0 * math.pi, n_scan, endpoint=False)
@@ -580,23 +627,29 @@ class Trefoil(Model):
         scan_pts = _trefoil_point(us, self.scale)
         base_arc = self._arc_of_param(ub)
         scan_arc = self._arc_of_param(us)
+        # each scan tile's columns and the next column, which it reads for crossings
+        tile_cols = (np.arange(0, n_scan, size)[:, None] + np.arange(size + 1)) % n_scan
 
-        def scan(rows, tiles):
-            """(clearance, separation) minima of some base rows against some
-            scan tiles; a tile also reads its next column for crossings."""
-            cols = (tiles[:, None] * size + np.arange(size + 1)).ravel() % n_scan
-            arc_d = np.abs(scan_arc[cols] - base_arc[rows, None]) % self.length
-            arc_d = np.minimum(arc_d, self.length - arc_d)
-            far = (arc_d > excl).reshape(len(rows), -1, size + 1)
-            diff = scan_pts[cols] - base_pts[rows, None]
+        def arc_dist(a, b):
+            d = np.abs(b - a) % length
+            return np.minimum(d, length - d)
+
+        def scan(rows, cols):
+            """(clearance, separation) minima of base rows against tiles of
+            scan columns: ``cols[i]`` holds the tiles of row ``rows[i]``, or
+            of every row when ``cols`` has one."""
+            far = arc_dist(base_arc[rows, None, None], scan_arc[cols]) > excl
+            cols = np.broadcast_to(cols, far.shape)
+            diff = scan_pts[cols] - base_pts[rows, None, None]
             # one BLAS matrix-vector product per row, as in a full row scan
-            g = np.matmul(diff, base_tan[rows, :, None]).reshape(far.shape)
-            dist = np.linalg.norm(diff, axis=-1).reshape(far.shape)[..., :size]
+            g = np.matmul(diff.reshape(len(rows), -1, 3), base_tan[rows, :, None])
+            g = g.reshape(far.shape)
+            dist = np.linalg.norm(diff[..., :size, :], axis=-1)
             separation = dist[far[..., :size]].min(initial=math.inf)
             g_lo, g_hi = g[..., :size], g[..., 1:]
             cross = far[..., :size] & far[..., 1:] & (g_lo * g_hi <= 0.0) & (g_lo != g_hi)
             r, k, c = np.nonzero(cross)
-            u_lo = us[tiles[k] * size + c]
+            u_lo = us[cols[r, k, c]]
             u_hi = u_lo + (2.0 * math.pi / n_scan)
             frac = g_lo[cross] / (g_lo[cross] - g_hi[cross])
             u_zero = u_lo + frac * (u_hi - u_lo)
@@ -604,18 +657,22 @@ class Trefoil(Model):
             dist = np.linalg.norm(zero_pts - base_pts[rows[r]], axis=-1)
             return dist.min(initial=math.inf), separation
 
-        clr_ub, sep_ub = scan(np.arange(0, n_base, self._PROBE), np.arange(n_scan // size))
+        clr_ub, sep_ub = scan(np.arange(0, n_base, self._PROBE), tile_cols[None])
         # |gamma'|^2 = scale^2 (17 + 8 cos 3u + 9 cos^2 3u) <= 34 scale^2
         step = 2.0 * math.pi / n_scan * math.sqrt(34.0) * self.scale
         bound = max(sep_ub, clr_ub + 2.0 * step)
         ca, ra = _tile_spheres(base_pts[:, None], size)
         cb, rb = _tile_spheres(scan_pts[:, None], size)
         row_tiles, col_tiles = _near_tile_pairs(cdist(ca, cb), ra, rb, bound)
-        clearance, separation = clr_ub, sep_ub
-        for t in np.unique(row_tiles):
-            clr, sep = scan(np.arange(t * size, t * size + size), col_tiles[row_tiles == t])
-            clearance, separation = min(clearance, clr), min(separation, sep)
-        return float(clearance) * 0.995, float(separation)
+        end_rows = row_tiles[:, None] * size + np.array([0, size - 1])
+        corners = arc_dist(
+            base_arc[end_rows][:, :, None], scan_arc[tile_cols[col_tiles][:, None, [0, size]]]
+        )
+        # the margin is far above the rounding of any arc distance
+        keep = np.any(corners >= excl - 1e-9 * length, axis=(1, 2))
+        rows = (row_tiles[keep, None] * size + np.arange(size)).ravel()
+        clr, sep = scan(rows, np.repeat(tile_cols[col_tiles[keep]], size, axis=0)[:, None])
+        return float(min(clr_ub, clr)) * 0.995, float(min(sep_ub, sep))
 
     @property
     def normal_clearance(self) -> float:
@@ -691,9 +748,9 @@ class EmbeddedGraph(Model):
         ends = self._ends[k]
         return (1.0 - frac) * self.vertices[ends[:, 0]] + frac * self.vertices[ends[:, 1]]
 
-    def tangent_at(self, t: float) -> np.ndarray:
-        k, _ = self._locate(t)
-        return self._segs[k] / self._elens[k]
+    def tangent_at(self, ts) -> np.ndarray:
+        k, _ = self._locate(ts)
+        return self._segs[k] / self._elens[k, None]
 
     def project(self, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Nearest point of every segment, then the nearest segment, ties to
@@ -969,11 +1026,12 @@ class SamplerSpec:
             )
 
 
-def _normal_basis(tangent: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of a unit vector."""
-    t = tangent / np.linalg.norm(tangent)
-    _, _, vt = np.linalg.svd(t[None, :])
-    return vt[1:]
+def _normal_bases(tangents: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the orthogonal complement of each row of an
+    (n, d) array of unit vectors, shape (n, d - 1, d)."""
+    t = tangents / np.sqrt(np.vecdot(tangents, tangents))[:, None]
+    # one stacked SVD runs the same LAPACK call on each (1, d) row
+    return np.linalg.svd(t[:, None, :])[2][:, 1:]
 
 
 def _ball_offset(rng: np.random.Generator, k: int, radius: float) -> np.ndarray:
@@ -996,8 +1054,8 @@ def sample(spec: SamplerSpec) -> PointCloud:
         params = rng.uniform(0.0, model.length, size=n)
     pts = model.points_at(params)
     if spec.tau > 0:
-        for i, t in enumerate(params):
-            basis = _normal_basis(model.tangent_at(t))
+        # the offsets draw from the generator point by point, in order
+        for i, basis in enumerate(_normal_bases(model.tangent_at(params))):
             pts[i] = pts[i] + _ball_offset(rng, basis.shape[0], spec.tau) @ basis
     return PointCloud(pts)
 

@@ -13,7 +13,15 @@ from itertools import combinations
 import numpy as np
 
 from . import _exact
-from .models import AmbiguousProjectionError, MetricMatrix, _trefoil_d1, _trefoil_point
+from .models import (
+    AmbiguousProjectionError,
+    Circle,
+    MetricMatrix,
+    Trefoil,
+    _ball_offset,
+    _trefoil_d1,
+    _trefoil_point,
+)
 from .rips import SimplicialComplex
 from .shadow import ConvexCellSystem
 
@@ -348,6 +356,60 @@ def brute_graph_projection(graph, X):
     return _project_rows(project_one, X)
 
 
+def _scalar_golden(scale, x, a, b):
+    """Golden-section search for the trefoil parameter nearest to x in
+    [a, b], one probe at a time."""
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+
+    def f(u):
+        return float(np.sum((_trefoil_point(u, scale) - x) ** 2))
+
+    c, d = b - phi * (b - a), a + phi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > 1e-12:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - phi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + phi * (b - a)
+            fd = f(d)
+    u = 0.5 * (a + b)
+    return u, f(u)
+
+
+def brute_trefoil_projection(trefoil, X):
+    """The trefoil's projection of every row of X, one row at a time against
+    all 4096 scan points, with a full sort of their distances: (points,
+    params, distances)."""
+    u_grid, pts = trefoil._scan_points
+    s, h = trefoil.scale, 2.0 * math.pi / trefoil._SCAN
+
+    def project_one(x):
+        d2 = np.sum((pts - x) ** 2, axis=1)
+        best = int(np.argmin(d2))
+        u, f = _scalar_golden(s, x, u_grid[best] - 2 * h, u_grid[best] + 2 * h)
+        for j in np.argsort(d2)[1:8]:
+            du = abs(u_grid[j] - u_grid[best]) % (2.0 * math.pi)
+            if min(du, 2.0 * math.pi - du) <= 4 * h:
+                continue
+            slack = f + 1e-7 * s**2 + 4.0 * h * s * math.sqrt(f) + 40.0 * h**2 * s**2
+            if d2[j] > slack:
+                continue
+            alt_u, alt_f = _scalar_golden(s, x, u_grid[j] - 2 * h, u_grid[j] + 2 * h)
+            if abs(math.sqrt(alt_f) - math.sqrt(f)) < 1e-9 * s:
+                gap = _trefoil_point(u, s) - _trefoil_point(alt_u, s)
+                if np.linalg.norm(gap) > 1e-6 * s:
+                    raise AmbiguousProjectionError(
+                        "point is equidistant from two separated strands"
+                    )
+        p = _trefoil_point(u, s)
+        return p, float(trefoil._arc_of_param(u)), float(np.linalg.norm(x - p))
+
+    return _project_rows(project_one, X)
+
+
 def brute_trefoil_clearance(trefoil) -> tuple[float, float]:
     """The trefoil's ``(normal clearance, separation)``, scanning every base
     row against all 4096 scan points, one row at a time."""
@@ -387,6 +449,38 @@ def brute_trefoil_clearance(trefoil) -> tuple[float, float]:
         dist = np.linalg.norm(zero_pts - base_pts[i], axis=-1)
         clearance = min(clearance, float(np.min(dist)))
     return clearance * 0.995, separation
+
+
+def _scalar_tangent(model, t):
+    """The unit tangent at one arc parameter, by scalar formulas."""
+    if isinstance(model, Circle):
+        theta = (t % model.length) / model.radius
+        v = np.zeros(model.dim)
+        v[0], v[1] = -math.sin(theta), math.cos(theta)
+        return v
+    if isinstance(model, Trefoil):
+        d = _trefoil_d1(model._param_of_arc(t), model.scale)
+        return d / np.linalg.norm(d)
+    k, _ = model._locate(t)
+    return model._segs[k] / model._elens[k]
+
+
+def brute_sample(spec) -> np.ndarray:
+    """The points ``sample(spec)`` draws, one point at a time: its tangent,
+    one SVD for its normal basis, then its offset."""
+    model, n = spec.model, spec.n
+    rng = np.random.default_rng(spec.seed)
+    if spec.scheme == "stratified":
+        params = np.arange(n) * (model.length / n)
+    else:
+        params = rng.uniform(0.0, model.length, size=n)
+    pts = model.points_at(params)
+    if spec.tau > 0:
+        for i, t in enumerate(params):
+            tangent = _scalar_tangent(model, t)
+            basis = np.linalg.svd((tangent / np.linalg.norm(tangent))[None, :])[2][1:]
+            pts[i] = pts[i] + _ball_offset(rng, basis.shape[0], spec.tau) @ basis
+    return pts
 
 
 def brute_grid_to_curve(mpts: np.ndarray, curve) -> np.ndarray:

@@ -323,13 +323,9 @@ def build_curve_K(
     # membership of every edge in the working complex, checked through the
     # complex itself rather than through the length bound
     rips = build_rips(euclidean_metric(cloud), beta, cap=1)
-    in_shadow = True
-    k = len(order)
-    for i in range(k):
-        a, b = order[i], order[(i + 1) % k]
-        if not rips.has_simplex(tuple(sorted((a, b)))):
-            in_shadow = False
-            break
+    ends = np.asarray(order, dtype=np.int64)
+    edges = np.sort(np.column_stack([ends, np.roll(ends, -1)]), axis=1)
+    in_shadow = bool(np.all(rips._locate(1, edges) >= 0))
 
     checks = {
         "simple": polyline_is_simple(curve),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 
@@ -34,7 +35,9 @@ from ripshadow.oracle import (
     brute_circle_projection,
     brute_curve_projection,
     brute_graph_projection,
+    brute_sample,
     brute_trefoil_clearance,
+    brute_trefoil_projection,
 )
 from ripshadow.reconstruct import Polyline, _hausdorff_to_model, order_by_projection
 
@@ -324,49 +327,14 @@ def test_trefoil_batch_projection_equals_row_by_row(scale, n, seed):
         assert params[i] == u[0] and dists[i] == d[0]
 
 
-def _scalar_golden(scale, x, a, b):
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-
-    def f(u):
-        return float(np.sum((_trefoil_point(u, scale) - x) ** 2))
-
-    c, d = b - phi * (b - a), a + phi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > 1e-12:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = f(d)
-    u = 0.5 * (a + b)
-    return u, f(u)
-
-
 def _scalar_trefoil_project(t: Trefoil, x):
-    """One point at a time, by loops: the reference the batch must equal bit
-    for bit; None for an ambiguous point."""
-    u_grid, pts = t._scan_points
-    s, h = t.scale, 2.0 * math.pi / t._SCAN
-    d2 = np.sum((pts - x) ** 2, axis=1)
-    best = int(np.argmin(d2))
-    u, f = _scalar_golden(s, x, u_grid[best] - 2 * h, u_grid[best] + 2 * h)
-    for j in np.argsort(d2)[1:8]:
-        du = abs(u_grid[j] - u_grid[best]) % (2.0 * math.pi)
-        if min(du, 2.0 * math.pi - du) <= 4 * h:
-            continue
-        slack = f + 1e-7 * s**2 + 4.0 * h * s * math.sqrt(f) + 40.0 * h**2 * s**2
-        if d2[j] > slack:
-            continue
-        alt_u, alt_f = _scalar_golden(s, x, u_grid[j] - 2 * h, u_grid[j] + 2 * h)
-        if abs(math.sqrt(alt_f) - math.sqrt(f)) < 1e-9 * s:
-            gap = _trefoil_point(u, s) - _trefoil_point(alt_u, s)
-            if np.linalg.norm(gap) > 1e-6 * s:
-                return None
-    p = _trefoil_point(u, s)
-    return p, float(t._arc_of_param(u)), float(np.linalg.norm(x - p))
+    """One point by the oracle's loops: the reference the batch must equal
+    bit for bit; None for an ambiguous point."""
+    try:
+        points, params, dists = brute_trefoil_projection(t, x[None])
+    except AmbiguousProjectionError:
+        return None
+    return points[0], params[0], dists[0]
 
 
 def test_trefoil_batch_projection_equals_the_scalar_loops():
@@ -462,6 +430,60 @@ def test_partial_neighbour_sort_matches_a_full_sort(monkeypatch):
     assert len(walks[0]) > 2000 and partial[2] == full[2] == 40
     for got, ref in zip(partial[:2], full[:2]):
         assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+
+@functools.lru_cache(maxsize=1)
+def _trefoil_walk() -> np.ndarray:
+    """The points that the Hausdorff walk of a trefoil rebuild (scale 1,
+    n = 141, tau = 0.01, seed 0) projects in one batch."""
+    t = Trefoil(1.0)
+    cloud = sample(SamplerSpec(t, 141, tau=0.01, seed=0))
+    order, params = order_by_projection(t, cloud)
+    walks = []
+    batch = t.project
+    t.project = lambda X: walks.append(X) or batch(X)
+    _hausdorff_to_model(t, Polyline(cloud.points[order], closed=True), measured_density(t, params))
+    return walks[0]
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.floats(-2.0, 2.0), st.integers(1, 48), st.integers(0, 2**32 - 1))
+@example(0.0, 48, 0)
+def test_pruned_trefoil_projection_equals_the_full_scan(log_scale, n, seed):
+    """Bit-equal to the oracle's scan of all 4096 scan points, or ambiguous
+    at the same row, at scales 1e-2 to 1e2: a stretch of a rebuild's
+    Hausdorff walk, points near the curve and up to 6 * scale away, and
+    points on and near the z-axis, the knot's axis of symmetry."""
+    scale = 10.0**log_scale
+    t = Trefoil(scale)
+    rng = np.random.default_rng(seed)
+    walk = _trefoil_walk()
+    lo = int(rng.integers(0, len(walk) - n))
+    z = rng.uniform(-3.0, 3.0, (n, 1))
+    near_axis = np.hstack([rng.normal(0.0, 1e-3, (n, 2)), z])
+    X = np.concatenate([walk[lo : lo + n] * scale, _trefoil_queries(scale, n, seed), near_axis * scale])
+    on_axis = int(rng.integers(0, len(X)))
+    for Y in (X, np.insert(X, on_axis, [0.0, 0.0, z[0, 0] * scale], axis=0)):
+        _assert_same_outcome(
+            _projection_outcome(t.project, Y),
+            _projection_outcome(lambda Y: brute_trefoil_projection(t, Y), Y),
+        )
+
+
+def test_pruned_projection_scans_few_columns_on_the_walk(monkeypatch):
+    """Each 32-row block of a rebuild's Hausdorff walk lies close to the
+    curve, so it scans a few tiles of the 4096 scan points (48 to 80
+    columns today).  A pruning that stops pruning gives the same numbers,
+    so only this count shows it."""
+    widths = []
+    nearest = models._second_to_eighth_nearest
+    monkeypatch.setattr(
+        models, "_second_to_eighth_nearest", lambda d2: widths.append(d2.shape[1]) or nearest(d2)
+    )
+    walk = _trefoil_walk()
+    Trefoil(1.0).project(walk)
+    assert len(widths) == math.ceil(len(walk) / Trefoil._BLOCK)
+    assert max(widths) <= 256
 
 
 def test_trefoil_constants_are_stable():
@@ -612,6 +634,19 @@ def test_sample_is_deterministic_per_seed():
     assert np.array_equal(sample(spec).points, sample(spec).points)
     other = SamplerSpec(Circle(1.0), 30, tau=0.02, seed=12, scheme="uniform-arc")
     assert not np.array_equal(sample(spec).points, sample(other).points)
+
+
+@pytest.mark.parametrize("scheme", ["stratified", "uniform-arc"])
+@pytest.mark.parametrize(
+    "model",
+    [Circle(1.0), Circle(0.7, center=[0.1, -0.2, 0.3], dim=3), Trefoil(0.5), theta_graph(16)],
+    ids=["circle", "circle-3d", "trefoil", "theta"],
+)
+def test_sample_equals_the_point_by_point_loop(model, scheme):
+    # the normal bases come from one stacked SVD; the oracle takes one per point
+    for n, tau, seed in ((141, 0.01, 0), (60, 0.003, 7)):
+        spec = SamplerSpec(model, n, tau=tau, seed=seed, scheme=scheme)
+        assert np.array_equal(sample(spec).points, brute_sample(spec))
 
 
 def test_sampler_spec_rejects_bad_inputs():

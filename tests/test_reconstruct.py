@@ -248,6 +248,17 @@ def test_noisy_reconstruction_passes_all_checks():
     assert result.checks["hausdorff_to_model"] <= 0.02 + 0.05 + 0.2**2 / 8.0
 
 
+def test_in_shadow_fails_when_the_complex_lacks_an_edge(monkeypatch):
+    # the complex is strict, so at the longest edge's length it lacks that edge
+    c = Circle(1.0)
+    cloud = sample(SamplerSpec(c, 126, tau=0.02, seed=0))
+    longest = build_curve_K(c, cloud, 0.2, 0.02, zeta=0.05).checks["max_edge"]
+    build = reconstruct.build_rips
+    monkeypatch.setattr(reconstruct, "build_rips", lambda metric, beta, cap: build(metric, longest, cap))
+    checks = build_curve_K(c, cloud, 0.2, 0.02, zeta=0.05).checks
+    assert checks["edges_under_beta"] is True and checks["in_shadow"] is False
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     st.integers(0, 2**32 - 1),
