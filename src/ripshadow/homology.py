@@ -453,12 +453,14 @@ def _face_vertices(
 
 def barycentric_subdivision(
     complex_: SimplicialComplex,
-) -> tuple[SimplicialComplex, list[tuple[int, ...]]]:
-    """First barycentric subdivision and the carrier of each new vertex.
+) -> tuple[SimplicialComplex, list[np.ndarray]]:
+    """First barycentric subdivision and its carrier rows.
 
     New vertices are the simplices of the input, ordered by (dimension,
     lexicographic): the i-th d-simplex is vertex ``offset(d) + i``, where
-    ``offset(d)`` counts the simplices of lower dimension.  New simplices
+    ``offset(d)`` counts the simplices of lower dimension.  The carrier rows
+    are the input's row arrays in dimension order, so their rows, read in
+    turn, are the carriers of the new vertices in order.  New simplices
     are the chains of proper inclusions.  The chains that end at a
     d-simplex follow one fixed list of face-position patterns per d
     (``_flag_patterns``), so each pattern maps the whole (m, d+1) row array
@@ -478,8 +480,7 @@ def barycentric_subdivision(
         rows = np.concatenate(parts)
         sd_rows[k] = rows[np.lexsort(rows.T[::-1])]
     sd = SimplicialComplex(total, complex_.cap, sd_rows)
-    carriers = [tuple(s) for d in sorted(complex_._rows) for s in complex_._rows[d].tolist()]
-    return sd, carriers
+    return sd, [complex_._rows[d] for d in sorted(complex_._rows)]
 
 
 def subdivision_chain_columns(
@@ -524,40 +525,42 @@ def composed_chain_columns(
 
 def carrier_map_to_nerve(
     sd: SimplicialComplex,
-    carriers: list[tuple[int, ...]],
+    carriers: list[np.ndarray],
     system: ConvexCellSystem,
     nerve: NerveComplex,
 ) -> SimplicialMap:
     """Send each subdivision vertex to the first cell containing its carrier.
 
-    Every image simplex is re-verified against the cells by the exact
-    intersection test; failure would falsify the carrier argument, so it
-    aborts rather than degrade.
+    ``carriers`` are the carrier rows `barycentric_subdivision` returns.
+    The distinct image simplices are re-verified against the cells by the
+    exact intersection test, one batch per dimension; failure would falsify
+    the carrier argument, so it aborts rather than degrade.
     """
     assignment = []
-    for s in carriers:
-        target = system.first_cell_containing(s)
-        if target is None:
-            raise CarrierVerificationError(
-                f"simplex {s} is not contained in any cell"
-            )
-        assignment.append(target)
+    for rows in carriers:
+        at = system.first_cells_containing(rows)
+        if (at < 0).any():
+            s = tuple(rows[int(np.argmax(at < 0))].tolist())
+            raise CarrierVerificationError(f"simplex {s} is not contained in any cell")
+        assignment.extend(at.tolist())
     try:
         f = SimplicialMap(sd, nerve.complex, tuple(assignment))
     except ValueError as exc:
         raise CarrierVerificationError(str(exc)) from exc
-    # the distinct image simplices, read off as target rows (every image
-    # is one, or the map above would have raised)
+    # the distinct image simplices, read off as target rows by size (every
+    # image is one, or the map above would have raised)
     target = nerve.complex
-    images = set()
+    images: dict[int, list[np.ndarray]] = {}
     for rows in sd._rows.values():
         for k, (_, img) in f.image_rows(rows).items():
-            at = np.unique(target._locate(k - 1, img))
-            images.update(map(tuple, target._rows[k - 1][at].tolist()))
-    for img in sorted(images):
-        if not hulls_intersect(system, img):
+            images.setdefault(k, []).append(target._locate(k - 1, img))
+    for k, found in sorted(images.items()):
+        img = target._rows[k - 1][np.unique(np.concatenate(found))]
+        met = hulls_intersect(system, img)
+        if not met.all():
+            cells = tuple(img[int(np.argmin(met))].tolist())
             raise CarrierVerificationError(
-                f"cells {img} do not share a point; carrier assignment is wrong"
+                f"cells {cells} do not share a point; carrier assignment is wrong"
             )
     return f
 

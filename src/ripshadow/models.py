@@ -37,6 +37,16 @@ class AmbiguousProjectionError(ValueError):
     row: int | None = None
 
 
+def _finite_rows(X) -> np.ndarray:
+    """X as a float array; a ``ValueError`` names its first row with a
+    non-finite coordinate, which has no nearest model point."""
+    X = np.asarray(X, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+    if bad.size:
+        raise ValueError(f"row {bad[0]} has a non-finite coordinate")
+    return X
+
+
 # ---------------------------------------------------------------------------
 # point containers
 
@@ -173,7 +183,8 @@ class Model:
     def project(self, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Nearest model point of every row of X, shape (n, dim): (points,
         params, distances).  An ``AmbiguousProjectionError`` names the first
-        row on the model's medial axis."""
+        row on the model's medial axis, and a ``ValueError`` the first row
+        with a non-finite coordinate."""
         raise NotImplementedError
 
     def geodesic_param_distance(self, t1, t2):
@@ -298,7 +309,7 @@ class Circle(Model):
         return v
 
     def project(self, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        X = np.asarray(X, dtype=float)
+        X = _finite_rows(X)
         u = X[:, :2] - self.center[:2]
         nu = np.hypot(u[:, 0], u[:, 1])
         axis = np.flatnonzero(nu <= 1e-12 * max(1.0, self.radius))
@@ -535,7 +546,7 @@ class Trefoil(Model):
         return best, near, near_d2
 
     def project(self, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        X = np.asarray(X, dtype=float)
+        X = _finite_rows(X)
         s = self.scale
         u_grid = self._scan_points[0]
         h = 2.0 * math.pi / self._SCAN
@@ -760,7 +771,7 @@ class EmbeddedGraph(Model):
         that segment, whose nearest point is unique, so it never competes.
         Each parameter lies on the winning edge: one at the edge's head is
         the largest float below the next edge's start."""
-        X = np.asarray(X, dtype=float)
+        X = _finite_rows(X)
         rows = np.arange(len(X))
         # (row, edge) tables
         tt = np.vecdot(X[:, None] - self._tails, self._segs) / np.vecdot(self._segs, self._segs)

@@ -3,8 +3,12 @@
 The shadow of a complex with embedded vertices is the union of the convex
 hulls of its simplices, which equals the union over maximal cells.  Those
 hulls form a finite closed convex cover of the shadow, so the nerve of the
-cover carries the shadow's homotopy type.  Intersection decisions are made
-by exact rational feasibility; floating point only prunes candidates.
+cover carries the shadow's homotopy type.  Every hull intersection is
+decided in one place, `hulls_intersect`, on arrays of cell-id rows: shared
+vertices and disjoint boxes settle most rows exactly, and exact rational
+feasibility settles the rest; floating point only prunes candidates.  Every
+containment of a vertex set in a cell is looked up in one place,
+`ConvexCellSystem.first_cells_containing`.
 """
 from __future__ import annotations
 
@@ -77,30 +81,34 @@ class ConvexCellSystem:
         return np.packbits(inc, axis=1)
 
     @cached_property
-    def cell_sets(self) -> list[frozenset]:
-        return [frozenset(c) for c in self.cells.cliques]
+    def _cells_at(self) -> np.ndarray:
+        """The incidence transposed: one little-endian ``np.packbits`` row
+        of cell bits per vertex."""
+        cell, flat = self._members
+        at = np.zeros((self.coords.n, len(self)), bool)
+        at[flat, cell] = True
+        return np.packbits(at, axis=1, bitorder="little")
 
-    @cached_property
-    def _cells_by_vertex(self) -> list[list[int]]:
-        by_vertex: list[list[int]] = [[] for _ in range(self.coords.n)]
-        for i, cell in enumerate(self.cells.cliques):
-            for v in cell:
-                by_vertex[v].append(i)
-        return by_vertex
+    def first_cells_containing(self, rows) -> np.ndarray:
+        """Lowest index of a cell holding every vertex of each row of an
+        (m, d) vertex array, or -1 where no cell does.
 
-    def first_cell_containing(self, vertices: tuple[int, ...]) -> int | None:
-        """Lowest index of a cell holding every vertex of a nonempty simplex.
-
-        Any such cell holds the simplex's first vertex, so only the cells
-        through that vertex are scanned, in ascending order.
+        The cells holding a row are the AND of its vertices' packed cell
+        bits, so each temporary takes one bit per (row, cell).  A row with
+        a vertex out of range is held by no cell.
         """
-        if not 0 <= vertices[0] < self.coords.n:
-            return None
-        want = set(vertices)
-        for j in self._cells_by_vertex[vertices[0]]:
-            if want <= self.cell_sets[j]:
-                return j
-        return None
+        rows = np.asarray(rows, dtype=np.intp)
+        ok = (rows >= 0) & (rows < self.coords.n)
+        safe = np.where(ok, rows, 0)
+        held = self._cells_at[safe[:, 0]]
+        for c in range(1, rows.shape[1]):
+            held &= self._cells_at[safe[:, c]]
+        held[~ok.all(axis=1)] = 0
+        nonzero = held != 0
+        byte = nonzero.argmax(axis=1)
+        first = held[np.arange(len(held)), byte]
+        bit = np.unpackbits(first[:, None], axis=1, bitorder="little").argmax(axis=1)
+        return np.where(nonzero.any(axis=1), 8 * byte + bit, -1)
 
 
 @dataclass
@@ -114,45 +122,6 @@ class NerveComplex:
         out = self.complex.to_json_dict()
         out["cells"] = [list(c) for c in self.cells.cliques]
         return out
-
-
-def hulls_intersect(system: ConvexCellSystem, ids) -> bool:
-    """Do the convex hulls of the named cells share a common point?
-
-    Exact rational feasibility; a shared vertex short-circuits to True and
-    disjoint bounding boxes short-circuit to False, both of which are exact.
-    """
-    ids = sorted(set(int(i) for i in ids))
-    if not ids:
-        raise ValueError("need at least one cell id")
-    count = len(system)
-    for i in ids:
-        if not 0 <= i < count:
-            raise ValueError(f"cell id {i} out of range")
-    if len(ids) == 1:
-        return True
-    return _common_point(system, tuple(ids))
-
-
-def _common_point(system: ConvexCellSystem, ids: tuple[int, ...]) -> bool:
-    """Exact decision for two or more distinct cell ids, cheapest test first.
-
-    A shared vertex is a common point and disjoint boxes rule one out; only
-    the cases left between them reach the rational LP.  The same decision
-    as ``_meet`` for one row, on frozensets: one-row arrays cost more than
-    the sets for the one-at-a-time callers of `hulls_intersect`.
-    """
-    sets = system.cell_sets
-    common = sets[ids[0]]
-    for i in ids[1:]:
-        common = common & sets[i]
-    if common:
-        return True
-    los, his = system.boxes
-    idx = list(ids)
-    if np.any(los[idx].max(axis=0) > his[idx].min(axis=0)):
-        return False
-    return _exact.hulls_common_point([system.cell_points(i) for i in ids])
 
 
 def _box_overlap_pairs(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -177,13 +146,21 @@ def _box_overlap_pairs(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np
     return np.concatenate(firsts), np.concatenate(seconds)
 
 
-def _meet(system: ConvexCellSystem, rows: np.ndarray) -> np.ndarray:
-    """Whether the hulls of the cells of each row share a point, exactly.
+def hulls_intersect(system: ConvexCellSystem, rows) -> np.ndarray:
+    """Whether the convex hulls of the cells of each row share a point.
 
-    A shared vertex, read from the packed incidence, is a common point, and
-    disjoint boxes rule one out; only the rows left between them reach
+    ``rows`` is an (r, k) array of cell ids, k >= 1; the answer is one bool
+    per row, decided exactly.  A shared vertex, read from the packed
+    incidence, is a common point, and disjoint bounding boxes rule one out;
+    only the rows left between them reach the rational LP of
     ``_exact.hulls_common_point``, one at a time.
     """
+    rows = np.asarray(rows, dtype=np.intp)
+    if rows.ndim != 2 or rows.shape[1] == 0:
+        raise ValueError("need an (r, k) array of cell ids, k >= 1")
+    bad = (rows < 0) | (rows >= len(system))
+    if bad.any():
+        raise ValueError(f"cell id {rows[bad][0]} out of range")
     inc = system.incidence
     common = inc[rows[:, 0]]
     for c in range(1, rows.shape[1]):
@@ -204,7 +181,7 @@ def build_nerve(system: ConvexCellSystem, cap: int = 2) -> NerveComplex:
     Candidate edges are the box-overlapping cell pairs, found in bulk by a
     blocked broadcast test.  The nerve is the flag expansion
     ``rips._flag_rows`` of that candidate graph with every level filtered
-    once by the exact decision of ``_meet``, as in `hulls_intersect`.
+    once by the exact decision of `hulls_intersect`.
     Every face of a nerve simplex is in the nerve, its prefix and its
     edges included, so each level's candidates hold all of that level's
     nerve simplices, and the filter keeps exactly those.
@@ -213,7 +190,7 @@ def build_nerve(system: ConvexCellSystem, cap: int = 2) -> NerveComplex:
     cand = np.zeros((k, k), bool)
     cand[_box_overlap_pairs(*system.boxes)] = True
     rows = {0: np.arange(k, dtype=np.int64)[:, None]}
-    rows.update(_flag_rows(cand, cap, keep=lambda r: _meet(system, r)))
+    rows.update(_flag_rows(cand, cap, keep=lambda r: hulls_intersect(system, r)))
     nerve = SimplicialComplex(k, cap, rows)
     nerve.validate_face_closed()
     return NerveComplex(nerve, system.cells)
@@ -234,16 +211,17 @@ def nerve_coarsening_map(
     """
     if fine_system.coords.n != coarse_system.coords.n:
         raise ValueError("cell systems must share their vertex cloud")
-    assignment = []
-    for cell in fine_system.cells.cliques:
-        j = coarse_system.first_cell_containing(cell)
-        if j is None:
-            raise ValueError(
-                f"fine cell {cell} is not contained in any coarse cell; "
-                "the systems are not nested"
-            )
-        assignment.append(j)
-    return SimplicialMap(fine_nerve.complex, coarse_nerve.complex, tuple(assignment))
+    cells = fine_system.cells.cliques
+    width = max(map(len, cells), default=1)
+    # each cell padded with its first vertex, which leaves its vertex set as it is
+    rows = np.array([c + c[:1] * (width - len(c)) for c in cells], np.intp).reshape(-1, width)
+    assignment = coarse_system.first_cells_containing(rows)
+    if (assignment < 0).any():
+        raise ValueError(
+            f"fine cell {cells[int(np.argmax(assignment < 0))]} is not contained "
+            "in any coarse cell; the systems are not nested"
+        )
+    return SimplicialMap(fine_nerve.complex, coarse_nerve.complex, tuple(assignment.tolist()))
 
 
 def _raster_once(system: ConvexCellSystem, resolution: int) -> tuple[int, int]:

@@ -143,10 +143,10 @@ def _system(points, cells) -> ConvexCellSystem:
 def test_hulls_touching_at_one_boundary_point_without_a_shared_vertex():
     # the segment's top end (1, 0) lies inside the triangle's bottom edge
     pts = [[0.0, 0.0], [2.0, 0.0], [1.0, 1.0], [1.0, 0.0], [1.0, -1.0]]
-    assert hulls_intersect(_system(pts, [(0, 1, 2), (3, 4)]), (0, 1))
+    assert hulls_intersect(_system(pts, [(0, 1, 2), (3, 4)]), [(0, 1)])[0]
     assert _exact.hulls_common_point([np.array(pts[:3]), np.array(pts[3:])])
     below = [[0.0, 0.0], [2.0, 0.0], [1.0, 1.0], [1.0, -2**-1074], [1.0, -1.0]]
-    assert not hulls_intersect(_system(below, [(0, 1, 2), (3, 4)]), (0, 1))
+    assert not hulls_intersect(_system(below, [(0, 1, 2), (3, 4)]), [(0, 1)])[0]
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

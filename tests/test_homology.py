@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ripshadow.homology import (
+    CarrierVerificationError,
     ChainComplexZ2,
     Gf2Matrix,
     HomologyTower,
@@ -30,7 +31,14 @@ from ripshadow.homology import (
 )
 from ripshadow.models import Circle, PointCloud, SamplerSpec, euclidean_metric, sample
 from ripshadow.oracle import brute_barycentric_subdivision, brute_homology
-from ripshadow.rips import SimplicialComplex, SimplicialMap, build_rips, inclusion_map, maximal_cliques
+from ripshadow.rips import (
+    CliqueList,
+    SimplicialComplex,
+    SimplicialMap,
+    build_rips,
+    inclusion_map,
+    maximal_cliques,
+)
 from ripshadow.shadow import ConvexCellSystem, build_nerve
 
 
@@ -183,11 +191,18 @@ def test_induced_map_respects_composition_rank():
 # barycentric subdivision
 
 
+def _carrier_list(carriers) -> list[tuple[int, ...]]:
+    """Carrier rows as one tuple per subdivision vertex, in vertex order."""
+    return [tuple(r) for a in carriers for r in a.tolist()]
+
+
 def test_subdivision_counts_on_a_cycle():
     sd, carriers = barycentric_subdivision(_cycle(5))
     assert sd.counts() == [10, 10]
     # each new vertex carries the simplex it subdivides
-    dims = sorted(len(carriers[v]) for v in range(sd.n))
+    flat = _carrier_list(carriers)
+    assert len(flat) == sd.n
+    dims = sorted(len(carrier) for carrier in flat)
     assert dims == [1] * 5 + [2] * 5
 
 
@@ -256,9 +271,9 @@ def _check_subdivision_against_references(complex_: SimplicialComplex) -> None:
     ref_sd, ref_carriers = brute_barycentric_subdivision(complex_)
     assert sd == ref_sd
     assert sd.simplices == ref_sd.simplices
-    assert carriers == ref_carriers
+    assert _carrier_list(carriers) == ref_carriers
     assert subdivision_chain_columns(complex_, sd, complex_.cap) == _reference_chain_columns(
-        complex_, sd, carriers, complex_.cap
+        complex_, sd, _carrier_list(carriers), complex_.cap
     )
 
 
@@ -279,7 +294,7 @@ def test_subdivision_of_a_single_vertex_is_itself():
     complex_ = SimplicialComplex(1, 0, {0: [(0,)]})
     sd, carriers = barycentric_subdivision(complex_)
     assert sd == complex_
-    assert carriers == [(0,)]
+    assert _carrier_list(carriers) == [(0,)]
     _check_subdivision_against_references(complex_)
 
 
@@ -309,6 +324,23 @@ def test_carrier_map_reaches_the_nerve():
     assert cm.source is sd
     assert cm.target is nerve.complex
     assert all(0 <= v < nerve.complex.n for v in cm.vertex_map)
+
+
+def test_carrier_map_rejects_a_simplex_no_cell_holds_and_a_missing_image():
+    # the edge (0, 2) lies in neither cell (0, 1) nor cell (1, 2)
+    cloud = PointCloud(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]))
+    system = ConvexCellSystem(cloud, CliqueList(3, ((0, 1), (1, 2))))
+    nerve = build_nerve(system, cap=1)
+    path = SimplicialComplex(3, 1, {0: [(0,), (1,), (2,)], 1: [(0, 1), (1, 2)]})
+    triangle = SimplicialComplex(3, 1, {0: [(0,), (1,), (2,)], 1: [(0, 1), (0, 2), (1, 2)]})
+    sd, carriers = barycentric_subdivision(triangle)
+    with pytest.raises(CarrierVerificationError, match=r"simplex \(0, 2\) is not contained in any cell"):
+        carrier_map_to_nerve(sd, carriers, system, nerve)
+    # the cells meet at vertex 1, but a nerve of cap 0 has no edge for them
+    sd, carriers = barycentric_subdivision(path)
+    assert carrier_map_to_nerve(sd, carriers, system, nerve).vertex_map == (0, 0, 1, 0, 1)
+    with pytest.raises(CarrierVerificationError, match="not simplicial"):
+        carrier_map_to_nerve(sd, carriers, system, build_nerve(system, cap=0))
 
 
 # ---------------------------------------------------------------------------

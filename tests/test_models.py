@@ -267,6 +267,15 @@ def test_graph_projection_names_the_first_ambiguous_row():
     assert params.tolist() == [1.0, 3.0] and dists.tolist() == [1.0, 1.0]
 
 
+@pytest.mark.parametrize("model", [Circle(1.0), Trefoil(1.0), theta_graph()], ids=lambda m: m.kind)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_projection_names_the_first_non_finite_row(model, bad):
+    X = model.points_at([0.1, 0.2, 0.3]) * 1.01
+    X[1, -1] = X[2, 0] = bad
+    with pytest.raises(ValueError, match=r"^row 1 has a non-finite coordinate$"):
+        model.project(X)
+
+
 def test_graph_projection_near_a_convex_corner_is_not_ambiguous():
     # the foot lies on one segment, 7e-5 from the vertex it shares with the
     # next; that segment's clamped foot, the vertex itself, is no rival

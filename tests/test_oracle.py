@@ -86,7 +86,7 @@ def test_grid_witness_confirms_an_overlap():
         [(0, 1, 2, 3), (4, 5, 6, 7)],
     )
     assert brute_hull_intersection(sys_, (0, 1))
-    assert hulls_intersect(sys_, (0, 1))
+    assert hulls_intersect(sys_, [(0, 1)])[0]
 
 
 def test_grid_search_rejects_separated_boxes():
@@ -95,7 +95,7 @@ def test_grid_search_rejects_separated_boxes():
         [(0, 1), (2, 3)],
     )
     assert not brute_hull_intersection(sys_, (0, 1))
-    assert not hulls_intersect(sys_, (0, 1))
+    assert not hulls_intersect(sys_, [(0, 1)])[0]
 
 
 def test_grid_oracle_works_in_three_dimensions():
@@ -105,7 +105,7 @@ def test_grid_oracle_works_in_three_dimensions():
     ]
     sys_ = _system(pts, [(0, 1, 2, 3), (4, 5, 6, 7)])
     assert brute_hull_intersection(sys_, (0, 1), resolution=12)
-    assert hulls_intersect(sys_, (0, 1))
+    assert hulls_intersect(sys_, [(0, 1)])[0]
 
 
 def test_nerve_subset_scan_budget():

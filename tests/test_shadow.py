@@ -41,7 +41,7 @@ def test_hulls_meeting_in_a_single_point_intersect():
         [[0.0, 0.0], [-1.0, 0.0], [0.0, -1.0], [1.0, 0.0], [0.0, 1.0]],
         [(0, 1, 2), (0, 3, 4)],
     )
-    assert hulls_intersect(sys_, (0, 1))
+    assert hulls_intersect(sys_, [(0, 1)])[0]
 
 
 def test_disjoint_hulls_do_not_intersect():
@@ -49,7 +49,7 @@ def test_disjoint_hulls_do_not_intersect():
         [[0.0, 0.0], [1.0, 0.0], [3.0, 0.0], [4.0, 0.0]],
         [(0, 1), (2, 3)],
     )
-    assert not hulls_intersect(sys_, (0, 1))
+    assert not hulls_intersect(sys_, [(0, 1)])[0]
 
 
 def test_crossing_segments_intersect_without_shared_vertices():
@@ -57,7 +57,7 @@ def test_crossing_segments_intersect_without_shared_vertices():
         [[-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.0, 1.0]],
         [(0, 1), (2, 3)],
     )
-    assert hulls_intersect(sys_, (0, 1))
+    assert hulls_intersect(sys_, [(0, 1)])[0]
 
 
 def test_nerve_of_three_hulls_in_a_row():
@@ -86,7 +86,7 @@ def test_nerve_against_grid_witness_on_random_cells():
         sys_ = ConvexCellSystem(cloud, CliqueList(8, tuple(sorted(set(cells)))))
         for i in range(len(sys_)):
             for j in range(i + 1, len(sys_)):
-                exact = hulls_intersect(sys_, (i, j))
+                exact = hulls_intersect(sys_, [(i, j)])[0]
                 if brute_hull_intersection(sys_, (i, j), resolution=24):
                     # a grid witness is a certificate the exact test must honor
                     assert exact
@@ -171,6 +171,34 @@ def test_nerve_matches_the_subset_scan_oracle(sys_, cap):
     assert build_nerve(sys_, cap=cap).complex.simplices == brute_nerve(sys_, cap=cap).simplices
 
 
+# rows of width 2 or 3 whose entries are taken modulo the number of cells
+_ID_ROWS = st.sampled_from([2, 3]).flatmap(
+    lambda w: st.lists(st.tuples(*[st.integers(0, 6)] * w), min_size=1, max_size=12)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cell_systems(), _ID_ROWS)
+@example(_CROSSING, [(0, 1), (1, 1), (1, 0)])
+@example(_NEAR_MISS, [(0, 1, 1), (1, 0, 0), (0, 0, 0)])
+def test_batched_hulls_intersect_equals_the_per_row_decision(sys_, rows):
+    # drawn rows mix shared vertices, disjoint boxes and rows left to the
+    # LP; in the examples, every row with both cells reaches the LP
+    rows = [tuple(i % len(sys_) for i in row) for row in rows]
+    got = hulls_intersect(sys_, rows)
+    assert got.dtype == bool and got.shape == (len(rows),)
+    for row, met in zip(rows, got.tolist()):
+        assert met == _exact.hulls_common_point([sys_.cell_points(i) for i in row])
+
+
+def test_hulls_intersect_rejects_bad_ids_and_takes_an_empty_batch():
+    with pytest.raises(ValueError, match="cell id 2 out of range"):
+        hulls_intersect(_CROSSING, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match="cell id -1 out of range"):
+        hulls_intersect(_CROSSING, [(-1, 0)])
+    assert hulls_intersect(_CROSSING, np.empty((0, 2), np.intp)).shape == (0,)
+
+
 def _lp_calls(monkeypatch, system) -> int:
     """LP calls of one nerve at cap 2; every call must come from cells that
     share no vertex and whose boxes overlap."""
@@ -236,11 +264,14 @@ def test_boxes_and_pair_candidates_match_per_cell_loops():
     assert set(edges) <= set(want)
 
 
-def test_first_cell_containing_matches_a_linear_scan():
+def test_first_cells_containing_matches_a_linear_scan():
     sys_ = _circle_system(40, 0.5)
     sets = [set(c) for c in sys_.cells.cliques]
     queries = [(v,) for v in range(sys_.coords.n)] + list(sys_.cells.cliques)
     queries += [(0, 20), (sys_.coords.n,)]
+    by_width: dict[int, list] = {}
     for q in queries:
-        want = next((j for j, cs in enumerate(sets) if set(q) <= cs), None)
-        assert sys_.first_cell_containing(q) == want
+        by_width.setdefault(len(q), []).append(q)
+    for group in by_width.values():
+        want = [next((j for j, cs in enumerate(sets) if set(q) <= cs), -1) for q in group]
+        assert sys_.first_cells_containing(np.array(group)).tolist() == want
