@@ -12,11 +12,17 @@ pivot, processed in basis order.  So ``betti`` only counts pairs, and
 ``homology_basis`` reduces only the boundary columns that survive, plus one
 cycle per unpaired (essential) simplex.
 
+A column stays as its face row (a boundary) or its slice of a sorted coface
+array (a coboundary) until it has to be reduced or another column's
+reduction reads it; only then does it become a bit mask.  Under clearing
+almost every column of a Rips filtration is already reduced, so few ever do.
+
 Every rank, cycle representative, and induced matrix is deterministic for a
 given complex.  Reports carry only ranks, which do not depend on the basis.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
@@ -46,8 +52,8 @@ def _mask(indices) -> int:
     return sum(1 << i for i in indices)
 
 
-def _column_mask(indices: list[int]) -> int:
-    """``_mask`` of an increasing index list, set as bits of one byte string.
+def _column_mask(indices: np.ndarray) -> int:
+    """``_mask`` of an increasing index array, set as bits of one byte string.
 
     Cheaper than summing shifts once a column holds more than a few bits
     far up, as coboundary columns do.
@@ -57,14 +63,17 @@ def _column_mask(indices: list[int]) -> int:
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
-def _reduce(vec: int, piv: dict[int, int], used: list[int] | None = None) -> int:
+def _reduce(
+    vec: int, get: Callable[[int], int | None], used: list[int] | None = None
+) -> int:
     """Residue of vec against an echelon keyed by highest set bit.
 
-    The pivots added on the way are appended to ``used`` when it is given.
+    ``get(p)`` is the echelon's column with pivot p, or None.  The pivots
+    added on the way are appended to ``used`` when it is given.
     """
     while vec:
         p = vec.bit_length() - 1
-        other = piv.get(p)
+        other = get(p)
         if other is None:
             break
         vec ^= other
@@ -77,7 +86,7 @@ def _echelon_basis(vectors: list[int]) -> dict[int, int]:
     """Reduce vectors into a pivot->vector echelon dictionary."""
     piv: dict[int, int] = {}
     for v in vectors:
-        residue = _reduce(v, piv)
+        residue = _reduce(v, piv.get)
         if residue:
             piv[residue.bit_length() - 1] = residue
     return piv
@@ -170,25 +179,27 @@ def _coboundary_pairs(
 ) -> dict[int, int]:
     """Pairs from the reduced coboundary columns of the lower simplices.
 
-    Columns are coface index lists, processed from the last lower simplex
-    to the first, with the lowest coface as pivot.  One stable sort of the
-    face array lists every lower simplex's cofaces in increasing order.  A
-    column turns into a bit mask only when it has to be reduced or another
-    column is reduced by it; until then the simplex that owns a pivot
+    Columns are processed from the last lower simplex to the first, with
+    the lowest coface as pivot.  One stable sort of the face array lists
+    every lower simplex's cofaces in increasing order, so a column is a
+    slice of that array and its first entry is its pivot until it is
+    reduced.  The loop reads one lowest coface per uncleared lower simplex;
+    a column turns into a bit mask only when it has to be reduced or another
+    column is reduced by it, and until then the simplex that owns a pivot
     stands for its column.
     """
     flat = faces.ravel()
-    cofaces = (np.argsort(flat, kind="stable") // faces.shape[1]).tolist()
-    bounds = [0] + np.cumsum(np.bincount(flat, minlength=n_lower)).tolist()
+    cofaces = np.argsort(flat, kind="stable") // faces.shape[1]
+    bounds = np.zeros(n_lower + 1, np.int64)
+    np.cumsum(np.bincount(flat, minlength=n_lower), out=bounds[1:])
+    live = bounds[:-1] < bounds[1:]
+    live[np.fromiter(cleared, np.int64, len(cleared))] = False
+    taus = np.flatnonzero(live)[::-1]
     reduced: dict[int, int] = {}  # pivot -> reduced column, once it is a mask
     pairs = {}
-    for tau in range(n_lower - 1, -1, -1):
-        lo, hi = bounds[tau], bounds[tau + 1]
-        if lo == hi or tau in cleared:
-            continue
-        low = cofaces[lo]
+    for tau, low in zip(taus.tolist(), cofaces[bounds[taus]].tolist()):
         if low in pairs:
-            cur = _column_mask(cofaces[lo:hi])
+            cur = _column_mask(cofaces[bounds[tau] : bounds[tau + 1]])
             while cur:
                 low = (cur & -cur).bit_length() - 1
                 owner = pairs.get(low)
@@ -242,51 +253,56 @@ def betti(complex_: SimplicialComplex, up_to: int) -> list[int]:
 # homology bases
 
 
-@dataclass
-class HomologyBasis:
-    """Cycle representatives spanning homology, one list per dimension."""
-
-    complex: SimplicialComplex
-    up_to: int
-    ranks: list[int]
-    representatives: dict[int, list[int]]
-    boundary_echelon: dict[int, dict[int, int]]
-
-    def rank(self, m: int) -> int:
-        return self.ranks[m] if 0 <= m <= self.up_to else 0
-
-
-@dataclass
 class _BoundaryEchelon:
-    """Reduced boundary columns of the negative simplices of one dimension."""
+    """Reduced boundary columns of the negative simplices of one dimension.
 
-    pivots: dict[int, int]  # pivot -> reduced column
-    owner: dict[int, int]  # pivot -> simplex whose column it is
-    added: dict[int, list[int]]  # simplex -> simplices added to its column
+    A negative simplex's boundary column is already reduced when its highest
+    face is the pivot its pair names: pairs have distinct pivots, so no
+    earlier column owns that face.  Only the other columns are reduced, when
+    the echelon is made and in basis order; any other column becomes a bit
+    mask only when ``get`` first reads it.
+    """
 
-    @classmethod
-    def build(
-        cls, faces: np.ndarray, negative: dict[int, int]
-    ) -> "_BoundaryEchelon":
-        ech = cls({}, {}, {})
-        for j in sorted(negative):
+    def __init__(self, faces: np.ndarray, negative: dict[int, int]):
+        self._faces = faces
+        self.owner = dict(zip(negative.values(), negative))  # pivot -> simplex
+        self.added: dict[int, list[int]] = {}  # simplex -> simplices added to its column
+        self._masks: dict[int, int] = {}  # pivot -> reduced column, once read
+        js = np.fromiter(negative, np.int64, len(negative))
+        ps = np.fromiter(negative.values(), np.int64, len(negative))
+        for j in np.sort(js[faces[js, -1] != ps]).tolist():
+            col = _mask(faces[j].tolist())
             used: list[int] = []
-            col = _reduce(_mask(faces[j].tolist()), ech.pivots, used)
+            while col:
+                q = col.bit_length() - 1
+                k = self.owner.get(q)
+                if k is None or k >= j:  # only earlier columns reduce this one
+                    break
+                col ^= self.get(q)
+                used.append(k)
             p = negative[j]
             if col.bit_length() - 1 != p:
                 raise InternalConsistencyError(
                     f"boundary column {j} does not reduce to the pivot {p} "
                     "its coboundary pair names"
                 )
-            ech.pivots[p] = col
-            ech.owner[p] = j
-            ech.added[j] = [ech.owner[q] for q in used]
-        return ech
+            self._masks[p] = col
+            self.added[j] = used
+
+    def get(self, p: int) -> int | None:
+        """Reduced column with pivot p, or None when no simplex owns p."""
+        col = self._masks.get(p)
+        if col is None:
+            j = self.owner.get(p)
+            if j is None:
+                return None
+            col = self._masks[p] = _mask(self._faces[j].tolist())
+        return col
 
     def cycle(self, j: int, faces: np.ndarray) -> int:
         """Simplex j plus the negative simplices whose boundaries sum to its own."""
         used: list[int] = []
-        if _reduce(_mask(faces[j].tolist()), self.pivots, used):
+        if _reduce(_mask(faces[j].tolist()), self.get, used):
             raise InternalConsistencyError(f"essential simplex {j} is not a cycle")
         chain = 1 << j
         pending = _mask(self.owner[q] for q in used)
@@ -296,9 +312,24 @@ class _BoundaryEchelon:
             k = pending.bit_length() - 1
             chain ^= 1 << k
             pending ^= 1 << k
-            for a in self.added[k]:
+            for a in self.added.get(k, ()):
                 pending ^= 1 << a
         return chain
+
+
+@dataclass
+class HomologyBasis:
+    """Cycle representatives spanning homology, one list per dimension."""
+
+    complex: SimplicialComplex
+    up_to: int
+    ranks: list[int]
+    representatives: dict[int, list[int]]
+    # dimension m -> echelon of the boundary of the (m+1)-simplices
+    boundary_echelon: dict[int, _BoundaryEchelon]
+
+    def rank(self, m: int) -> int:
+        return self.ranks[m] if 0 <= m <= self.up_to else 0
 
 
 def homology_basis(complex_: SimplicialComplex, up_to: int) -> HomologyBasis:
@@ -306,18 +337,15 @@ def homology_basis(complex_: SimplicialComplex, up_to: int) -> HomologyBasis:
     chain = ChainComplexZ2(complex_)
     pairs = persistence_pairs(chain, up_to)
     ranks, reps, bnds = [], {}, {}
-    below: _BoundaryEchelon | None = None  # echelon of the boundary into m-1
     for m in range(up_to + 1):
-        above = _BoundaryEchelon.build(chain.faces(m + 1), pairs[m + 1])
+        bnds[m] = _BoundaryEchelon(chain.faces(m + 1), pairs[m + 1])
         paired = pairs.get(m, {}).keys() | set(pairs[m + 1].values())
         essential = [j for j in range(chain.size(m)) if j not in paired]
         if m == 0:
             reps[m] = [1 << j for j in essential]
         else:
-            reps[m] = [below.cycle(j, chain.faces(m)) for j in essential]
+            reps[m] = [bnds[m - 1].cycle(j, chain.faces(m)) for j in essential]
         ranks.append(len(essential))
-        bnds[m] = above.pivots
-        below = above
     return HomologyBasis(complex_, up_to, ranks, reps, bnds)
 
 
@@ -353,23 +381,30 @@ def induced_from_chain_columns(
 ) -> list[Gf2Matrix]:
     """Express images of source cycle representatives in the target basis.
 
-    The target representatives are reduced into the target boundary
-    echelon, each new pivot recording the representatives it sums
+    The target representatives are reduced against the target boundary
+    echelon and their pivots laid over it (the echelon itself is shared
+    and not copied), each new pivot recording the representatives it sums
     (boundary pivots sum none).  An image's coordinates are the XOR of
     those sums over the pivots its reduction uses; a nonzero residue would
     mean the input was not a chain map and raises InternalConsistencyError.
     """
     mats = []
     for m in range(up_to + 1):
-        piv = dict(dst_basis.boundary_echelon[m])
+        echelon = dst_basis.boundary_echelon[m]
+        top: dict[int, int] = {}  # pivot -> reduced representative
+
+        def get(p: int) -> int | None:
+            col = top.get(p)
+            return echelon.get(p) if col is None else col
+
         coeff: dict[int, int] = {}
         for idx, rep in enumerate(dst_basis.representatives[m]):
             used: list[int] = []
-            cur = _reduce(rep, piv, used)
+            cur = _reduce(rep, get, used)
             if cur == 0:
                 raise InternalConsistencyError("dependent homology representatives")
             p = cur.bit_length() - 1
-            piv[p] = cur
+            top[p] = cur
             coeff[p] = (1 << idx) ^ _sum_used(coeff, used)
         cols = chain_cols[m]
         n_dst = len(dst_basis.complex._rows.get(m, ()))
@@ -379,7 +414,7 @@ def induced_from_chain_columns(
         out_cols = []
         for img in images.cols:
             used = []
-            if _reduce(img, piv, used):
+            if _reduce(img, get, used):
                 raise InternalConsistencyError(
                     "image of a cycle is not a cycle modulo boundaries"
                 )

@@ -441,6 +441,27 @@ def _near_tile_pairs(centre_d: np.ndarray, ra: np.ndarray, rb: np.ndarray, bound
     return np.nonzero(gap <= np.reshape(bound, (-1, 1)))
 
 
+def _arc_distance(a, b, length: float):
+    """Distance along a closed curve of the given length between the arc
+    positions a and b."""
+    d = np.abs(b - a) % length
+    return np.minimum(d, length - d)
+
+
+def _may_hold_far_pairs(base_arcs: np.ndarray, scan_arcs: np.ndarray, excl: float, length: float):
+    """Whether each tile pair may hold a base/scan pair more than ``excl``
+    apart along the curve; row i pairs the base arcs ``base_arcs[i]`` with
+    the scan arcs ``scan_arcs[i]``, each a run of consecutive samples.
+
+    Only the four corner pairs are read.  Arc length is monotone along a
+    tile, and a tile is far shorter than the gap between the exclusion
+    zones, so no arc distance inside exceeds the largest at the corners.
+    The margin is far above the rounding of any arc distance.
+    """
+    corners = _arc_distance(base_arcs[:, [0, -1], None], scan_arcs[:, None, [0, -1]], length)
+    return np.any(corners >= excl - 1e-9 * length, axis=(1, 2))
+
+
 class Trefoil(Model):
     """Trefoil knot  scale * (sin u + 2 sin 2u, cos u - 2 cos 2u, -sin 3u).
 
@@ -620,11 +641,8 @@ class Trefoil(Model):
         ``_PROBE``-th base row bounds each minimum from above.  A crossing
         between scan points j and j+1 lies within ``h * max speed`` of
         scan point j, so only tile pairs within the separation bound or
-        within the clearance bound plus twice that can hold a minimum.  Of
-        those, a pair whose four corners lie within the arc exclusion holds
-        no far pair: arc length is monotone along a tile, and a tile is far
-        shorter than the gap between the exclusion zones, so no arc distance
-        inside exceeds the largest at the corners.
+        within the clearance bound plus twice that can hold a minimum, and
+        of those only the ones that ``_may_hold_far_pairs`` keeps.
         """
         kappa = self._curvature_max
         length = self.length
@@ -641,15 +659,11 @@ class Trefoil(Model):
         # each scan tile's columns and the next column, which it reads for crossings
         tile_cols = (np.arange(0, n_scan, size)[:, None] + np.arange(size + 1)) % n_scan
 
-        def arc_dist(a, b):
-            d = np.abs(b - a) % length
-            return np.minimum(d, length - d)
-
         def scan(rows, cols):
             """(clearance, separation) minima of base rows against tiles of
             scan columns: ``cols[i]`` holds the tiles of row ``rows[i]``, or
             of every row when ``cols`` has one."""
-            far = arc_dist(base_arc[rows, None, None], scan_arc[cols]) > excl
+            far = _arc_distance(base_arc[rows, None, None], scan_arc[cols], length) > excl
             cols = np.broadcast_to(cols, far.shape)
             diff = scan_pts[cols] - base_pts[rows, None, None]
             # one BLAS matrix-vector product per row, as in a full row scan
@@ -675,13 +689,11 @@ class Trefoil(Model):
         ca, ra = _tile_spheres(base_pts[:, None], size)
         cb, rb = _tile_spheres(scan_pts[:, None], size)
         row_tiles, col_tiles = _near_tile_pairs(cdist(ca, cb), ra, rb, bound)
-        end_rows = row_tiles[:, None] * size + np.array([0, size - 1])
-        corners = arc_dist(
-            base_arc[end_rows][:, :, None], scan_arc[tile_cols[col_tiles][:, None, [0, size]]]
+        tile_rows = row_tiles[:, None] * size + np.arange(size)
+        keep = _may_hold_far_pairs(
+            base_arc[tile_rows], scan_arc[tile_cols[col_tiles]], excl, length
         )
-        # the margin is far above the rounding of any arc distance
-        keep = np.any(corners >= excl - 1e-9 * length, axis=(1, 2))
-        rows = (row_tiles[keep, None] * size + np.arange(size)).ravel()
+        rows = tile_rows[keep].ravel()
         clr, sep = scan(rows, np.repeat(tile_cols[col_tiles[keep]], size, axis=0)[:, None])
         return float(min(clr_ub, clr)) * 0.995, float(min(sep_ub, sep))
 

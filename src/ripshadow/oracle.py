@@ -13,6 +13,7 @@ from itertools import combinations
 import numpy as np
 
 from . import _exact
+from .homology import InternalConsistencyError
 from .models import (
     AmbiguousProjectionError,
     Circle,
@@ -100,6 +101,37 @@ def brute_homology(complex_: SimplicialComplex, m: int) -> int:
     rank_in = _dense_rank_mod2(boundary_matrix(m)) if m > 0 else 0
     rank_out = _dense_rank_mod2(boundary_matrix(m + 1)) if m + 1 <= complex_.cap else 0
     return n_m - rank_in - rank_out
+
+
+def brute_boundary_echelon(
+    faces: np.ndarray, negative: dict[int, int]
+) -> tuple[dict[int, int], dict[int, list[int]]]:
+    """Reduced boundary columns of the negative simplices, every one reduced.
+
+    Each column is made a bit mask and reduced, in basis order, against the
+    columns before it, with the highest set bit as pivot.  Returns the
+    columns by pivot and, per negative simplex, the simplices added to its
+    column.
+    """
+    pivots: dict[int, int] = {}
+    owner: dict[int, int] = {}
+    added: dict[int, list[int]] = {}
+    for j in sorted(negative):
+        col = sum(1 << i for i in faces[j].tolist())
+        used = []
+        while col and col.bit_length() - 1 in pivots:
+            used.append(col.bit_length() - 1)
+            col ^= pivots[col.bit_length() - 1]
+        p = negative[j]
+        if col.bit_length() - 1 != p:
+            raise InternalConsistencyError(
+                f"boundary column {j} does not reduce to the pivot {p} "
+                "its coboundary pair names"
+            )
+        pivots[p] = col
+        owner[p] = j
+        added[j] = [owner[q] for q in used]
+    return pivots, added
 
 
 def brute_barycentric_subdivision(

@@ -7,7 +7,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ripshadow.homology import (
@@ -30,7 +30,11 @@ from ripshadow.homology import (
     _echelon_basis,
 )
 from ripshadow.models import Circle, PointCloud, SamplerSpec, euclidean_metric, sample
-from ripshadow.oracle import brute_barycentric_subdivision, brute_homology
+from ripshadow.oracle import (
+    brute_barycentric_subdivision,
+    brute_boundary_echelon,
+    brute_homology,
+)
 from ripshadow.rips import (
     CliqueList,
     SimplicialComplex,
@@ -71,6 +75,14 @@ def _tetra_boundary() -> SimplicialComplex:
             2: list(combinations(range(4), 3)),
         },
     )
+
+
+def _octahedron() -> SimplicialComplex:
+    # the antipodal vertex pairs are 0/1, 2/3 and 4/5; four of its negative
+    # triangles' boundary columns have to be reduced
+    triangles = [(a, b, c) for a in (0, 1) for b in (2, 3) for c in (4, 5)]
+    edges = sorted({e for t in triangles for e in combinations(t, 2)})
+    return SimplicialComplex(6, 2, {0: [(i,) for i in range(6)], 1: edges, 2: triangles})
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +161,74 @@ def test_coboundary_pairs_equal_boundary_pivots():
     # union-find leaves one column to clear per non-root vertex
     assert len(pairs[1]) == complex_.n - 1
     assert betti(complex_, 1) == [1, 1]
+
+
+def _check_lazy_echelon(complex_: SimplicialComplex, up_to: int) -> int:
+    """Compare every boundary echelon of a basis with the eager oracle;
+    returns how many columns had to be reduced."""
+    chain = ChainComplexZ2(complex_)
+    pairs = persistence_pairs(chain, up_to)
+    basis = homology_basis(complex_, up_to)
+    reduced = 0
+    for m in range(up_to + 1):
+        negative = pairs[m + 1]
+        # the shortcut rests on distinct pivots
+        assert len(set(negative.values())) == len(negative)
+        echelon = basis.boundary_echelon[m]
+        columns, added = brute_boundary_echelon(chain.faces(m + 1), negative)
+        assert {p: echelon.get(p) for p in columns} == columns
+        assert {j: echelon.added.get(j, []) for j in added} == added
+        reduced += len(echelon.added)
+    return reduced
+
+
+@st.composite
+def _rips_towers(draw) -> list[SimplicialComplex]:
+    """Rips complexes of one random planar cloud at a few increasing scales."""
+    metric = euclidean_metric(PointCloud(np.array(draw(_PLANAR_POINTS), dtype=float)))
+    betas = draw(st.lists(st.floats(0.05, 1.2), min_size=1, max_size=4, unique=True))
+    return [build_rips(metric, beta, cap=3) for beta in sorted(betas)]
+
+
+def _decagon_tower() -> list[SimplicialComplex]:
+    # a regular decagon of unit diameter; three boundary columns reduce at 0.9
+    ts = np.arange(10) * (2.0 * np.pi / 10)
+    metric = euclidean_metric(PointCloud(0.5 * np.stack([np.cos(ts), np.sin(ts)], axis=1)))
+    return [build_rips(metric, beta, cap=3) for beta in (0.5, 0.9)]
+
+
+def test_lazy_boundary_echelon_equals_the_eager_oracle():
+    reduced = {"complexes": 0, "towers": 0}
+
+    @settings(max_examples=60, deadline=None)
+    @given(_closed_complexes())
+    @example(_octahedron())
+    def on_complexes(complex_):
+        if complex_.cap > 0:
+            reduced["complexes"] += _check_lazy_echelon(complex_, complex_.cap - 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_rips_towers())
+    @example(_decagon_tower())
+    def on_towers(complexes):
+        reduced["towers"] += sum(_check_lazy_echelon(c, 2) for c in complexes)
+
+    on_complexes()
+    on_towers()
+    # both kinds of case must reach the columns that are reduced, not only
+    # the ones whose highest face is already their pivot
+    assert min(reduced.values()) > 0, reduced
+
+
+def test_bases_build_masks_only_for_the_columns_that_reduce():
+    """On the finest stage of a Rips tower 18 of 7,199 negative boundary
+    columns reduce.  Masks for all of them give the same bases, so only
+    this count shows a return to building every column."""
+    cloud = sample(SamplerSpec(Circle(), 400, tau=0.01, seed=7))
+    basis = homology_basis(build_rips(euclidean_metric(cloud), 0.3, cap=2), 1)
+    echelon = basis.boundary_echelon[1]
+    assert len(echelon.owner) == 7199
+    assert 0 < len(echelon.added) <= len(echelon._masks) <= 64
 
 
 # ---------------------------------------------------------------------------

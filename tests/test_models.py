@@ -513,6 +513,37 @@ def test_pruned_clearance_scan_equals_the_full_scan(log_scale):
     assert t._clearance_numbers == brute_trefoil_clearance(t)
 
 
+@pytest.mark.parametrize("scale", [1e-2, 0.37, 1.0, 7.3, 1e2])
+def test_clearance_corner_filter_drops_only_tile_pairs_without_far_pairs(monkeypatch, scale):
+    """Every base/scan tile pair of the clearance scan's tiling, put to the
+    corner filter with the exclusion and length the scan uses.  The
+    trefoil's minima lie far outside the exclusion, so a filter that drops
+    too much still finds them; only the dropped pairs themselves show it."""
+    seen = []
+    may_hold = models._may_hold_far_pairs
+
+    def spy(base_arcs, scan_arcs, excl, length):
+        seen.append((excl, length))
+        return may_hold(base_arcs, scan_arcs, excl, length)
+
+    monkeypatch.setattr(models, "_may_hold_far_pairs", spy)
+    t = Trefoil(scale)
+    t._clearance_numbers
+    [(excl, length)] = seen
+    size = Trefoil._TILE
+    base_tiles = t._arc_of_param(np.linspace(0.0, 2.0 * math.pi, 2048, endpoint=False))
+    scan_arc = t._arc_of_param(np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False))
+    # each scan tile and the next column, as the scan reads them
+    scan_tiles = scan_arc[(np.arange(0, 4096, size)[:, None] + np.arange(size + 1)) % 4096]
+    dropped = 0
+    for base in base_tiles.reshape(-1, size):
+        keep = may_hold(np.tile(base, (len(scan_tiles), 1)), scan_tiles, excl, length)
+        d = np.abs(scan_tiles[~keep][:, None, :] - base[:, None]) % length
+        assert np.minimum(d, length - d).max(initial=0.0) < excl
+        dropped += int((~keep).sum())
+    assert dropped > 0
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(0, 2**32 - 1),
