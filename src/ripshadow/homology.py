@@ -27,6 +27,8 @@ from dataclasses import dataclass, field
 from itertools import combinations, product
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import minimum_spanning_tree
 
 from .rips import SimplicialComplex, SimplicialMap
 from .shadow import ConvexCellSystem, NerveComplex, hulls_intersect
@@ -157,20 +159,27 @@ def _forest_pairs(chain: ChainComplexZ2) -> dict[int, int]:
     """Edges of the spanning forest, each mapped to the vertex it kills.
 
     Edges are taken in order; each component keeps its smallest vertex as
-    root, so an edge joining two components kills the larger root.
+    root, so an edge joining two components kills the larger root.  The
+    forest is the minimum spanning forest under the weight j+1 of edge j
+    (Kruskal's greedy order is edge order), so the union-find walks only
+    its edges.
     """
-    parent = list(range(chain.size(0)))
+    edges = chain.faces(1)
+    n = chain.size(0)
+    weights = np.arange(1, len(edges) + 1, dtype=float)
+    graph = csr_matrix((weights, (edges[:, 0], edges[:, 1])), shape=(n, n))
+    forest = np.sort(minimum_spanning_tree(graph).data).astype(np.int64) - 1
+    parent = list(range(n))
     pairs = {}
-    for j, (a, b) in enumerate(chain.faces(1).tolist()):
+    for j, (a, b) in zip(forest.tolist(), edges[forest].tolist()):
         while parent[a] != a:
             parent[a] = a = parent[parent[a]]
         while parent[b] != b:
             parent[b] = b = parent[parent[b]]
-        if a != b:
-            if a > b:
-                a, b = b, a
-            parent[b] = a
-            pairs[j] = b
+        if a > b:
+            a, b = b, a
+        parent[b] = a
+        pairs[j] = b
     return pairs
 
 

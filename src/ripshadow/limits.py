@@ -47,7 +47,13 @@ from .models import (
     euclidean_metric,
     sample,
 )
-from .rips import SimplicialComplex, build_rips, inclusion_map, maximal_cliques
+from .rips import (
+    SimplicialComplex,
+    build_rips,
+    inclusion_map,
+    maximal_cliques,
+    simplex_diameters,
+)
 from .shadow import ConvexCellSystem, build_nerve, nerve_coarsening_map
 
 CONSISTENT = "consistent"
@@ -330,6 +336,30 @@ def _target_for_dim(model: Model, m: int) -> int:
     return bs[m] if m < len(bs) else 0
 
 
+def _rips_stages(metrics, betas, cap: int) -> list[SimplicialComplex]:
+    """The strict Rips complex of each stage, one (metric, beta) pair each.
+
+    Stages that share a metric object share one flag expansion, at their
+    largest beta; every other one of them keeps the simplices whose
+    diameter is below its own beta, which are exactly ``build_rips`` at
+    that beta.
+    """
+    groups: dict[int, list[int]] = {}
+    for i, met in enumerate(metrics):
+        groups.setdefault(id(met), []).append(i)
+    out: list = [None] * len(metrics)
+    for group in groups.values():
+        met, top_beta = metrics[group[0]], max(betas[i] for i in group)
+        top = build_rips(met, top_beta, cap=cap)
+        diam = simplex_diameters(top, met)
+        for i in group:
+            if betas[i] == top_beta:
+                out[i] = top
+            else:
+                out[i] = top.subcomplex({d: x < betas[i] for d, x in diam.items()})
+    return out
+
+
 def _inclusion_tower(
     complexes: list[SimplicialComplex], scales, dim: int
 ) -> HomologyTower:
@@ -455,10 +485,7 @@ def run_inverse_system(spec: InverseSystemSpec) -> LimitReport:
         metrics.append(seen[key])
 
     if spec.object_kind == "rips":
-        complexes = [
-            build_rips(met, beta, cap=cap)
-            for met, beta in zip(metrics, betas_fine_first)
-        ]
+        complexes = _rips_stages(metrics, betas_fine_first, cap)
         try:
             tower = _inclusion_tower(complexes, betas_fine_first, spec.dim)
         except ValueError as exc:
@@ -565,9 +592,11 @@ def run_metric_comparability(
         np.max(met_p.d[off] / met_e.d[off], initial=1.0)
     )
 
-    complexes = [build_rips(met_e, beta, cap=dim + 1) for beta in betas_fine_first]
-    for a, beta in zip(complexes, betas_fine_first):
-        if a != build_rips(met_p, beta, cap=dim + 1):
+    stages = len(betas_fine_first)
+    complexes = _rips_stages([met_e] * stages, betas_fine_first, dim + 1)
+    twins = _rips_stages([met_p] * stages, betas_fine_first, dim + 1)
+    for a, b in zip(complexes, twins):
+        if a != b:
             raise InternalConsistencyError(
                 "strict complexes differ below the path cutoff; the pinned "
                 "path metric is broken"

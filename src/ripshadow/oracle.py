@@ -103,6 +103,25 @@ def brute_homology(complex_: SimplicialComplex, m: int) -> int:
     return n_m - rank_in - rank_out
 
 
+def brute_forest_pairs(complex_: SimplicialComplex) -> dict[int, int]:
+    """Union-find over every edge in order: each edge that joins two
+    components maps to the larger of their smallest vertices."""
+    root = list(range(complex_.n))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    pairs = {}
+    for j, (a, b) in enumerate(complex_.simplices.get(1, [])):
+        a, b = sorted((find(a), find(b)))
+        if a != b:
+            root[b] = a
+            pairs[j] = b
+    return pairs
+
+
 def brute_boundary_echelon(
     faces: np.ndarray, negative: dict[int, int]
 ) -> tuple[dict[int, int], dict[int, list[int]]]:

@@ -16,21 +16,25 @@ blocks of bounded candidate count, which bounds the temporaries, and a
 caller may filter each block before the next level grows from it.
 
 Each dimension of a complex is held as an (m, d+1) ``int64`` array, one
-row per simplex, and indexed by one sorted ``int64`` key array.  Every
-complex is built by ``SimplicialComplex(n, cap, rows)``, which checks that
-each row is strictly increasing and that the rows are in strictly
-increasing lexicographic order.  A packed key (Ripser's combinatorial
-number system, Bauer 2021) outgrows 64 bits once C(n, d+1) does, so the
-keys are ranks, built column by column: the code of a row's (k+1)-prefix is
-``rank of its k-prefix * len(values) + rank of its k-th vertex among the
-distinct values of column k``, and the rank of the prefix is the position
-of that code among the distinct codes; the rank of a whole row is its
-position in the array.  Both factors are below the number m of simplices,
-so every code is below m**2, which fits ``int64`` for every n, dimension
-and m that the constructor accepts.  Membership, face lookups and the
-images of simplicial maps follow the same codes through
-``np.searchsorted``, one column at a time, for whole arrays of simplices
-at once.
+row per simplex.  Every complex is built by ``SimplicialComplex(n, cap,
+rows)``, which checks that each row is strictly increasing and that the
+rows are in strictly increasing lexicographic order.  A packed key
+(Ripser's combinatorial number system, Bauer 2021) outgrows 64 bits once
+C(n, d+1) does, so a dimension is indexed by the ranks of its row
+prefixes instead, built in one linear pass over the sorted rows with no
+sort and no search: the distinct (k+1)-prefixes follow each other, a
+prefix's rank counts the prefixes that begin before it, and the rank of a
+whole row is its position.  The first level is an O(n) table from a vertex
+to the rank of its 1-prefix, or -1; level k >= 1 holds the codes ``rank of
+the k-prefix * n + k-th vertex`` of the distinct (k+1)-prefixes, which come
+out increasing in row order.  Every complex holds the singletons of its n
+vertices, so n and every rank are at most 2**31 and every code is below
+2**62, which fits ``int64`` for every dimension.  Membership, face lookups
+and the images of simplicial maps look up whole arrays of rows at once: a
+table gather for the first vertex, then one ``np.searchsorted`` per further
+vertex.  A subcomplex cut from a complex by row masks
+(``SimplicialComplex.subcomplex``) gathers its face arrays through the
+renumbered masks and looks nothing up.
 
 A complex file is ``json.dumps(to_json_dict(), sort_keys=True, indent=2)``
 and a newline: keys ``cap``, ``n`` and ``simplices``, the last a flat list
@@ -79,12 +83,6 @@ class CliqueBudgetError(RuntimeError):
         self.count = count
 
 
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """Sorted distinct values."""
-    out = np.sort(values)
-    return out[np.concatenate(([True], out[1:] != out[:-1]))]
-
-
 def _find(sorted_: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Index of each value in a nonempty sorted array, and whether it is there.
 
@@ -94,22 +92,33 @@ def _find(sorted_: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return at, sorted_[at] == values
 
 
-def _prefix_ranks(rows: np.ndarray) -> tuple[list, np.ndarray]:
-    """Key levels of an (m, k) int64 array, and each row's lexicographic rank.
-
-    Level j holds the distinct values of column j and the sorted distinct
-    codes ``rank of the j-prefix * len(values) + rank of the value`` of the
-    (j+1)-prefixes.  Ranks count distinct rows, so equal rows share one.
-    """
-    rank = np.zeros(len(rows), np.int64)
+def _prefix_keys(rows: np.ndarray, n: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Lookup levels of a nonempty (m, k) array of sorted distinct rows on
+    vertices 0..n-1: the table from each vertex to the rank of its 1-prefix
+    (or -1), and for j = 1..k-1 the increasing codes ``rank of the j-prefix
+    * n + column j`` of the distinct (j+1)-prefixes."""
+    col = rows[:, 0]
+    new = np.ones(len(rows), bool)  # where a prefix differs from the row above's
+    np.not_equal(col[1:], col[:-1], out=new[1:])
+    table = np.full(n, -1, np.int64)
+    table[col[new]] = np.arange(np.count_nonzero(new))
+    rank = table[col]
     levels = []
-    for col in rows.T:
-        values = _distinct(col)
-        code = rank * len(values) + np.searchsorted(values, col)
-        codes = _distinct(code)
-        rank = np.searchsorted(codes, code)
-        levels.append((values, codes))
-    return levels, rank
+    for j in range(1, rows.shape[1]):
+        col = rows[:, j]
+        new[1:] |= col[1:] != col[:-1]
+        levels.append((rank * n + col)[new])
+        if j + 1 < rows.shape[1]:
+            rank = np.cumsum(new) - 1
+    return table, levels
+
+
+def _missing_face(rows: np.ndarray, i: int, j: int) -> ValueError:
+    """The error for the j-th face, in the order of ``combinations(s, d)``,
+    of the simplex s in row i of an (m, d+1) array."""
+    s = tuple(rows[i].tolist())
+    d = len(s) - 1
+    return ValueError(f"face {s[: d - j] + s[d - j + 1 :]} of {s} missing")
 
 
 def _ahead(rows: np.ndarray) -> np.ndarray:
@@ -428,27 +437,36 @@ class SimplicialComplex:
 
     def _locate(self, d: int, rows) -> np.ndarray:
         """Row in dimension d of each row of an (r, d+1) array, or -1 where
-        the row is absent.  The rows are sorted and distinct, so the rank of
-        a row among them is its position; the vertex rows are 0..n-1."""
+        the row is absent."""
+        rows = np.asarray(rows, dtype=np.int64)
+        if d < 0:
+            return np.full(len(rows), -1, np.int64)
+        return self._locate_columns(d, rows.T)
+
+    def _locate_columns(self, d: int, cols) -> np.ndarray:
+        """``_locate`` of the rows whose d+1 columns are the arrays ``cols``.
+
+        The vertex rows are 0..n-1; any other dimension follows the levels
+        of the module docstring, built on its first lookup.
+        """
+        n = self.n
+        v = cols[0]
+        ok = (v >= 0) & (v < n)
         if d == 0:
-            v = np.asarray(rows, dtype=np.int64)[:, 0]
-            return np.where((v >= 0) & (v < self.n), v, -1)
+            return np.where(ok, v, -1)
         if d not in self._keys:
             have = self._rows.get(d)
-            self._keys[d] = None if have is None else _prefix_ranks(have)[0]
-        rows = np.asarray(rows, dtype=np.int64)
-        pos = np.full(len(rows), -1, np.int64)
-        levels = self._keys[d]
-        if levels is None:
-            return pos
-        rank = np.zeros(len(rows), np.int64)
-        hit = np.ones(len(rows), bool)
-        for (values, codes), col in zip(levels, rows.T):
-            at, there = _find(values, col)
-            rank, known = _find(codes, rank * len(values) + at)
-            hit &= there & known
-        pos[hit] = rank[hit]
-        return pos
+            self._keys[d] = None if have is None else _prefix_keys(have, n)
+        if self._keys[d] is None:
+            return np.full(len(v), -1, np.int64)
+        table, levels = self._keys[d]
+        rank = table[np.where(ok, v, 0)]
+        ok &= rank >= 0
+        for codes, v in zip(levels, cols[1:]):
+            ok &= (v >= 0) & (v < n)
+            rank, there = _find(codes, rank * n + v)
+            ok &= there
+        return np.where(ok, rank, -1)
 
     def has_simplex(self, s: tuple[int, ...]) -> bool:
         # a non-integer or beyond-int64 vertex names no simplex
@@ -474,15 +492,35 @@ class SimplicialComplex:
         rows = self._rows.get(d, np.empty((0, d + 1), np.int64))
         out = np.empty((len(rows), d + 1), np.int64)
         for j in range(d + 1):
-            out[:, j] = self._locate(d - 1, np.delete(rows, d - j, axis=1))
+            cols = [rows[:, c] for c in range(d + 1) if c != d - j]
+            out[:, j] = self._locate_columns(d - 1, cols)
         missing = np.flatnonzero(out.ravel() < 0)
         if missing.size:
-            i, j = divmod(int(missing[0]), d + 1)
-            s = tuple(rows[i].tolist())
-            raise ValueError(f"face {s[: d - j] + s[d - j + 1 :]} of {s} missing")
+            raise _missing_face(rows, *divmod(int(missing[0]), d + 1))
         out.flags.writeable = False
         self._faces[d] = out
         return out
+
+    def subcomplex(self, keep: dict[int, np.ndarray]) -> "SimplicialComplex":
+        """The simplices that ``keep[d]``, a boolean mask over the d-simplices,
+        marks in each dimension d of this face-closed complex.
+
+        The kept rows stay sorted and distinct.  One gather per dimension
+        checks that every face of a kept simplex is kept, raising for the
+        first that is not, and the subcomplex's face arrays are this
+        complex's gathered through the renumbered masks.
+        """
+        rows = {d: np.compress(keep[d], r, axis=0) for d, r in self._rows.items()}
+        sub = SimplicialComplex(self.n, self.cap, rows)
+        for d in sorted(sub._rows)[1:]:
+            faces = np.compress(keep[d], self.face_positions(d), axis=0)
+            kept = keep[d - 1][faces]
+            if not kept.all():
+                raise _missing_face(sub._rows[d], *divmod(int(np.argmin(kept)), d + 1))
+            out = (np.cumsum(keep[d - 1]) - 1)[faces]
+            out.flags.writeable = False
+            sub._faces[d] = out
+        return sub
 
     def validate_face_closed(self) -> None:
         for d in sorted(self._rows):
@@ -525,11 +563,11 @@ class SimplicialComplex:
         rows = {}
         for size, group in groups.items():
             if not _ahead(group).all():
-                rank = _prefix_ranks(group)[1]
-                rows[size - 1] = np.empty((int(rank.max()) + 1, size), np.int64)
-                rows[size - 1][rank] = group
-            else:
-                rows[size - 1] = group
+                group = group[np.lexsort(group.T[::-1])]
+                repeat = np.zeros(len(group), bool)
+                repeat[1:] = (group[1:] == group[:-1]).all(axis=1)
+                group = group[~repeat]
+            rows[size - 1] = group
         cx = cls(n, cap, rows)
         cx.validate_face_closed()
         return cx
@@ -583,6 +621,8 @@ class SimplicialMap:
         for v in self.vertex_map:
             if not 0 <= v < self.target.n:
                 raise ValueError(f"image vertex {v} out of range")
+        self._image = np.array(self.vertex_map, dtype=np.int64)
+        self._increasing = bool((self._image[1:] > self._image[:-1]).all())
         for d, rows in sorted(self.source._rows.items()):
             found = np.zeros(len(rows), bool)
             for k, (at, img) in self.image_rows(rows).items():
@@ -599,21 +639,30 @@ class SimplicialMap:
 
         Maps k to the indices of the rows whose image has k vertices and
         those images as a sorted (r, k) array; a repeated vertex drops the
-        image a dimension.
+        image a dimension.  A strictly increasing vertex map keeps every
+        row's order and size, so its images need no sort.
         """
-        img = np.sort(np.array(self.vertex_map, dtype=np.int64)[rows], axis=1)
-        new = np.ones(img.shape, bool)
-        new[:, 1:] = img[:, 1:] != img[:, :-1]
-        size = new.sum(axis=1)
-        out = {}
-        for k in range(1, img.shape[1] + 1):
-            at = np.flatnonzero(size == k)
-            if at.size:
-                out[k] = (at, img[at][new[at]].reshape(-1, k))
-        return out
+        img = self._image[rows]
+        if self._increasing:
+            return {img.shape[1]: (np.arange(len(img)), img)} if len(img) else {}
+        return _images_by_size(np.sort(img, axis=1))
 
     def map_simplex(self, s: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(sorted({self.vertex_map[v] for v in s}))
+
+
+def _images_by_size(img: np.ndarray) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """``SimplicialMap.image_rows`` of an (m, d+1) array of images whose rows
+    are sorted but may repeat a vertex."""
+    new = np.ones(img.shape, bool)
+    new[:, 1:] = img[:, 1:] != img[:, :-1]
+    size = new.sum(axis=1)
+    out = {}
+    for k in range(1, img.shape[1] + 1):
+        at = np.flatnonzero(size == k)
+        if at.size:
+            out[k] = (at, img[at][new[at]].reshape(-1, k))
+    return out
 
 
 def _flag_rows(adj: np.ndarray, cap: int, keep=None) -> dict[int, np.ndarray]:
@@ -685,6 +734,22 @@ def build_rips(metric: MetricMatrix, beta: float, cap: int = 2) -> SimplicialCom
     rows = {0: np.arange(n, dtype=np.int64)[:, None]}
     rows.update(_flag_rows(np.triu(metric.d < beta, 1), cap))
     return SimplicialComplex(n, cap, rows)
+
+
+def simplex_diameters(complex_: SimplicialComplex, metric: MetricMatrix) -> dict[int, np.ndarray]:
+    """Diameter of every simplex of a complex on the metric's points, per
+    dimension: 0 for a vertex, ``metric.d`` for an edge, and above that the
+    largest diameter of the simplex's faces."""
+    rows = complex_._rows
+    out = {0: np.zeros(complex_.n)}
+    if 1 in rows:
+        out[1] = metric.d[rows[1][:, 0], rows[1][:, 1]]
+    for d in sorted(rows)[2:]:
+        low, faces = out[d - 1], complex_.face_positions(d)
+        out[d] = low[faces[:, 0]]
+        for j in range(1, d + 1):
+            np.maximum(out[d], low[faces[:, j]], out=out[d])
+    return out
 
 
 def maximal_cliques(

@@ -28,11 +28,13 @@ from ripshadow.homology import (
     subdivision_chain_columns,
     tower_ranks,
     _echelon_basis,
+    _forest_pairs,
 )
 from ripshadow.models import Circle, PointCloud, SamplerSpec, euclidean_metric, sample
 from ripshadow.oracle import (
     brute_barycentric_subdivision,
     brute_boundary_echelon,
+    brute_forest_pairs,
     brute_homology,
 )
 from ripshadow.rips import (
@@ -134,6 +136,27 @@ def test_both_routes_match_dense_oracle_on_random_planar_clouds(points, beta, ca
     want = [brute_homology(complex_, m) for m in range(cap)]
     assert betti(complex_, cap - 1) == want
     assert homology_basis(complex_, cap - 1).ranks == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(_PLANAR_POINTS, st.floats(0.05, 1.2))
+@example([(0.0, 0.0)], 0.5)
+def test_forest_pairs_equal_the_walk_over_every_edge(points, beta):
+    complex_ = build_rips(euclidean_metric(PointCloud(np.array(points, dtype=float))), beta, cap=1)
+    got = _forest_pairs(ChainComplexZ2(complex_))
+    assert list(got.items()) == list(brute_forest_pairs(complex_).items())
+
+
+def test_forest_pairs_follow_edge_order_across_components():
+    # (0, 3) kills 3 and (1, 2) kills 2; (1, 3) then joins the roots 1 and
+    # 0 and kills 1, so (2, 3) closes a loop; 4 stays alone
+    graph = SimplicialComplex(
+        5, 1, {0: [(i,) for i in range(5)], 1: [(0, 3), (1, 2), (1, 3), (2, 3)]}
+    )
+    for complex_ in (graph, _cycle(7), _cone_over_square(), _octahedron()):
+        got = _forest_pairs(ChainComplexZ2(complex_))
+        assert list(got.items()) == list(brute_forest_pairs(complex_).items())
+    assert _forest_pairs(ChainComplexZ2(graph)) == {0: 3, 1: 2, 2: 1}
 
 
 def _column_echelon_pairs(masks: list[int]) -> dict[int, int]:

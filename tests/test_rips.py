@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ripshadow.cli import _write_json
+from ripshadow.limits import _rips_stages
 from ripshadow.models import PointCloud, euclidean_metric
 from ripshadow.oracle import brute_maximal_cliques, brute_rips
 from ripshadow.rips import (
@@ -23,6 +24,7 @@ from ripshadow.rips import (
     IntRows,
     SimplicialComplex,
     SimplicialMap,
+    _images_by_size,
     build_rips,
     inclusion_map,
     maximal_cliques,
@@ -84,6 +86,79 @@ def test_matches_subset_scan_on_random_clouds(points, cap, data):
         index = {s: i for i, s in enumerate(fast.simplices[d - 1])}
         want = [[index[f] for f in combinations(s, d)] for s in fast.simplices[d]]
         assert fast.face_positions(d).tolist() == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(_GRID_CLOUDS, st.integers(0, 3), st.data())
+def test_masked_stages_equal_their_own_expansions(points, cap, data):
+    met = euclidean_metric(PointCloud(np.array(points, dtype=float)))
+    ties = sorted(set(met.d[met.d > 0].tolist()))
+    grid = data.draw(st.lists(st.sampled_from(ties), min_size=1, max_size=4)) if ties else [1.0]
+    # a repeated scale, and one below every positive distance
+    grid += [grid[-1], min(ties, default=1.0) / 2]
+    stages = _rips_stages([met] * len(grid), grid, cap)
+    for beta, got in zip(grid, stages):
+        want = build_rips(met, beta, cap=cap)
+        assert got == want
+        assert got.simplices == want.simplices
+        for d in range(1, want.dim + 1):
+            assert np.array_equal(got.face_positions(d), want.face_positions(d))
+
+
+def test_subcomplex_refuses_a_mask_that_drops_a_face():
+    cx = _closure(4, 2, [(0, 1, 2), (2, 3)])
+    keep = {d: np.ones(k, bool) for d, k in enumerate(cx.counts())}
+    keep[1][cx.simplices[1].index((0, 2))] = False
+    with pytest.raises(ValueError, match=re.escape("face (0, 2) of (0, 1, 2) missing")):
+        cx.subcomplex(keep)
+    keep[2][:] = False
+    sub = cx.subcomplex(keep)
+    assert sub == _closure(4, 2, [(0, 1), (1, 2), (2, 3)])
+    assert sub.face_positions(1).tolist() == [[0, 1], [1, 2], [2, 3]]
+    keep[0][3] = False
+    with pytest.raises(ValueError, match=re.escape("vertex singleton [3] missing")):
+        cx.subcomplex(keep)
+
+
+_VERTEX_QUERIES = st.one_of(st.integers(-2, 7), st.sampled_from([-(2**63), 2**63 - 1]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=4, unique=True), max_size=6), st.data())
+def test_locate_matches_a_dict_lookup(tops, data):
+    cx = _closure(6, 3, [tuple(sorted(t)) for t in tops] + [(v,) for v in range(6)])
+    index = {s: i for group in cx.simplices.values() for i, s in enumerate(group)}
+    for d in range(4):  # dimensions the complex may leave empty
+        queries = data.draw(st.lists(st.lists(_VERTEX_QUERIES, min_size=d + 1, max_size=d + 1)))
+        present = cx.simplices.get(d, [])
+        queries += [list(s) for s in present]
+        # a present last vertex moved by a multiple of n: out of range, absent
+        queries += [[*s[:-1], t[-1] + k * 6] for s in present for t in present for k in (-2, -1, 1, 2)]
+        rows = np.array(queries, dtype=np.int64).reshape(len(queries), d + 1)
+        want = [index.get(tuple(q), -1) for q in queries]
+        assert cx._locate(d, rows).tolist() == want
+
+
+def test_monotone_images_equal_the_sorting_route():
+    source = _closure(5, 3, [(0, 1, 2, 3), (1, 2, 4)])
+    wide = _closure(9, 3, [(0, 2, 3, 5), (2, 3, 8), (0, 1, 2, 3), (1, 2, 4), (6,), (7,)])
+    flat = _closure(3, 3, [(0, 1, 2)])
+    maps = {
+        "identity": SimplicialMap(source, source, range(5)),
+        "embedding": SimplicialMap(source, wide, (0, 2, 3, 5, 8)),
+        "collapse": SimplicialMap(source, flat, (0, 0, 1, 2, 2)),
+    }
+    assert [f._increasing for f in maps.values()] == [True, True, False]
+    for f in maps.values():
+        for s in source.simplices.values():
+            rows = np.array(s, dtype=np.int64)
+            got = f.image_rows(rows)
+            want = _images_by_size(np.sort(f._image[rows], axis=1))
+            assert got.keys() == want.keys()
+            for k, (at, img) in got.items():
+                assert np.array_equal(at, want[k][0]) and np.array_equal(img, want[k][1])
+                assert [f.map_simplex(s[i]) for i in at.tolist()] == list(map(tuple, img.tolist()))
+    assert maps["identity"].image_rows(np.empty((0, 2), np.int64)) == {}
 
 
 def _as_arrays(groups: dict) -> dict:
