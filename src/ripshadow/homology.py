@@ -363,15 +363,12 @@ def homology_basis(complex_: SimplicialComplex, up_to: int) -> HomologyBasis:
 
 
 def _vertex_chain_columns(f: SimplicialMap, m: int) -> list[int]:
-    """Chain map columns of a simplicial map: degenerate images drop to zero."""
-    rows = f.source._rows.get(m, np.empty((0, m + 1), np.int64))
-    cols = [0] * len(rows)
-    full = f.image_rows(rows).get(m + 1)
-    if full is not None:
-        at, img = full
-        for j, p in zip(at.tolist(), f.target._locate(m, img).tolist()):
-            cols[j] = 1 << p
-    return cols
+    """Chain map columns of a simplicial map in dimension m, read from the
+    image rows the map keeps: degenerate images drop to zero."""
+    if m not in f.images:
+        return []
+    dims, at = f.images[m]
+    return [1 << p if k == m else 0 for k, p in zip(dims.tolist(), at.tolist())]
 
 
 def _sum_used(coeff: dict[int, int], used: list[int]) -> int:
@@ -576,30 +573,27 @@ def carrier_map_to_nerve(
     """Send each subdivision vertex to the first cell containing its carrier.
 
     ``carriers`` are the carrier rows `barycentric_subdivision` returns.
-    The distinct image simplices are re-verified against the cells by the
-    exact intersection test, one batch per dimension; failure would falsify
-    the carrier argument, so it aborts rather than degrade.
+    The distinct image simplices, read from the image rows the map keeps,
+    are re-verified against the cells by the exact intersection test, one
+    batch per dimension in increasing order; failure would falsify the
+    carrier argument, so it aborts rather than degrade.
     """
+    if not carriers:  # an empty complex: nothing to send or verify
+        return SimplicialMap(sd, nerve.complex, ())
     assignment = []
     for rows in carriers:
         at = system.first_cells_containing(rows)
         if (at < 0).any():
             s = tuple(rows[int(np.argmax(at < 0))].tolist())
             raise CarrierVerificationError(f"simplex {s} is not contained in any cell")
-        assignment.extend(at.tolist())
+        assignment.append(at)
     try:
-        f = SimplicialMap(sd, nerve.complex, tuple(assignment))
+        f = SimplicialMap(sd, nerve.complex, np.concatenate(assignment))
     except ValueError as exc:
         raise CarrierVerificationError(str(exc)) from exc
-    # the distinct image simplices, read off as target rows by size (every
-    # image is one, or the map above would have raised)
-    target = nerve.complex
-    images: dict[int, list[np.ndarray]] = {}
-    for rows in sd._rows.values():
-        for k, (_, img) in f.image_rows(rows).items():
-            images.setdefault(k, []).append(target._locate(k - 1, img))
-    for k, found in sorted(images.items()):
-        img = target._rows[k - 1][np.unique(np.concatenate(found))]
+    dims, found = (np.concatenate(part) for part in zip(*f.images.values()))
+    for k in np.unique(dims).tolist():
+        img = nerve.complex._rows[k][np.unique(found[dims == k])]
         met = hulls_intersect(system, img)
         if not met.all():
             cells = tuple(img[int(np.argmin(met))].tolist())

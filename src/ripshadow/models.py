@@ -115,13 +115,17 @@ class MetricMatrix:
         return self.d.shape[0]
 
 
+def _symmetric(d: np.ndarray) -> np.ndarray:
+    """A square distance matrix with its diagonal zeroed in place, then
+    each pair's two entries replaced by the smaller."""
+    np.fill_diagonal(d, 0.0)
+    return np.minimum(d, d.T)
+
+
 def euclidean_metric(cloud: PointCloud) -> MetricMatrix:
     if cloud.n == 0:
         return MetricMatrix(np.zeros((0, 0)))
-    d = cdist(cloud.points, cloud.points)
-    np.fill_diagonal(d, 0.0)
-    d = np.minimum(d, d.T)
-    return MetricMatrix(d)
+    return MetricMatrix(_symmetric(cdist(cloud.points, cloud.points)))
 
 
 def epsilon_path_metric(cloud: PointCloud, eps: float) -> MetricMatrix:
@@ -138,9 +142,7 @@ def epsilon_path_metric(cloud: PointCloud, eps: float) -> MetricMatrix:
     n = cloud.n
     if n == 0:
         return MetricMatrix(np.zeros((0, 0)))
-    w = cdist(cloud.points, cloud.points)
-    np.fill_diagonal(w, 0.0)
-    w = np.minimum(w, w.T)
+    w = _symmetric(cdist(cloud.points, cloud.points))
     mask = w < eps
     np.fill_diagonal(mask, False)
     graph = csr_matrix(np.where(mask, w, 0.0))
@@ -148,9 +150,7 @@ def epsilon_path_metric(cloud: PointCloud, eps: float) -> MetricMatrix:
     # chords are exact lower bounds on any path length
     d = np.maximum(d, w)
     d[mask] = w[mask]
-    d = np.minimum(d, d.T)
-    np.fill_diagonal(d, 0.0)
-    return MetricMatrix(d)
+    return MetricMatrix(_symmetric(d))
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +189,7 @@ class Model:
 
     def geodesic_param_distance(self, t1, t2):
         """Shortest arc between parameters of a closed curve; broadcasts."""
-        delta = np.abs(np.asarray(t1) - np.asarray(t2)) % self.length
-        return np.minimum(delta, self.length - delta)
+        return _arc_distance(np.asarray(t1), np.asarray(t2), self.length)
 
     def covering_radius(self, params: np.ndarray) -> float:
         """Largest distance from a point of a closed curve to its nearest
@@ -204,10 +203,7 @@ class Model:
     def geodesic_metric(self, cloud: PointCloud) -> MetricMatrix:
         params = self.project(cloud.points)[1]
         d = self.geodesic_param_distance(params[:, None], params[None, :])
-        d = np.asarray(d, dtype=float)
-        np.fill_diagonal(d, 0.0)
-        d = np.minimum(d, d.T)
-        return MetricMatrix(d)
+        return MetricMatrix(_symmetric(np.asarray(d, dtype=float)))
 
     # constants ------------------------------------------------------------
     @property

@@ -49,12 +49,9 @@ class Polyline:
         if pts.ndim != 2 or pts.shape[0] < 2:
             raise ValueError("a polyline needs at least two vertices")
         object.__setattr__(self, "points", pts)
-        pairs = list(zip(pts[:-1], pts[1:]))
-        if self.closed:
-            pairs.append((pts[-1], pts[0]))
-        for a, b in pairs:
-            if np.array_equal(a, b):
-                raise ValueError("consecutive polyline vertices coincide")
+        a, b = _edge_ends(pts, self.closed)
+        if (a == b).all(axis=1).any():
+            raise ValueError("consecutive polyline vertices coincide")
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -67,7 +64,9 @@ class Polyline:
             yield pts[i], pts[(i + 1) % k]
 
     def edge_lengths(self) -> np.ndarray:
-        return np.array([float(np.linalg.norm(b - a)) for a, b in self.edges()])
+        # the same floats as ``np.linalg.norm`` of each edge vector
+        a, b = _edge_ends(self.points, self.closed)
+        return np.sqrt(np.vecdot(b - a, b - a))
 
     def to_json_dict(self) -> dict:
         return {
@@ -154,12 +153,11 @@ def polyline_is_simple(curve: Polyline) -> bool:
     run only on the edge pairs whose closed bounding boxes overlap, taken
     in lexicographic order from one bulk box test; the boxes use the same
     floats the rational predicates consume, so the prefilter loses nothing."""
-    edges = list(curve.edges())
-    m = len(edges)
     a, b = _edge_ends(curve.points, curve.closed)
+    m = len(a)
     first, second = _box_overlap_pairs(np.minimum(a, b), np.maximum(a, b))
     for i, j in zip(first.tolist(), second.tolist()):
-        (a0, a1), (b0, b1) = edges[i], edges[j]
+        a0, a1, b0, b1 = a[i], b[i], a[j], b[j]
         if j == i + 1:
             # consecutive edges meet at a1 == b0; any further contact
             # means a fold-back along the shared line
@@ -188,14 +186,14 @@ def _hausdorff_to_model(model: Model, curve: Polyline, zeta: float) -> float:
     finer than zeta and queries segment distances.  Both walks add half a
     step, so the returned value is an upper bound.
     """
-    segs = list(curve.edges())
     step = max(zeta / 10.0, 1e-6 * model.length)
 
     # the walk points of every edge go through one batched projection
-    lengths = np.array([np.linalg.norm(b - a) for a, b in segs])
+    lengths = curve.edge_lengths()
     cuts = np.maximum(2, np.ceil(lengths / step).astype(int) + 1)
     walks = [
-        a + np.linspace(0.0, 1.0, c)[:, None] * (b - a) for (a, b), c in zip(segs, cuts)
+        a + np.linspace(0.0, 1.0, c)[:, None] * (b - a)
+        for a, b, c in zip(*_edge_ends(curve.points, curve.closed), cuts)
     ]
     dists = model.project(np.concatenate(walks))[2]
     worst = np.maximum.reduceat(dists, np.cumsum(cuts) - cuts)

@@ -30,11 +30,11 @@ the k-prefix * n + k-th vertex`` of the distinct (k+1)-prefixes, which come
 out increasing in row order.  Every complex holds the singletons of its n
 vertices, so n and every rank are at most 2**31 and every code is below
 2**62, which fits ``int64`` for every dimension.  Membership, face lookups
-and the images of simplicial maps look up whole arrays of rows at once: a
-table gather for the first vertex, then one ``np.searchsorted`` per further
-vertex.  A subcomplex cut from a complex by row masks
-(``SimplicialComplex.subcomplex``) gathers its face arrays through the
-renumbered masks and looks nothing up.
+and the images of a simplicial map, found once and kept by the map, look up
+whole arrays of rows at once: a table gather for the first vertex, then one
+``np.searchsorted`` per further vertex.  A subcomplex cut from a complex by
+row masks (``SimplicialComplex.subcomplex``) gathers its face arrays
+through the renumbered masks and looks nothing up.
 
 A complex file is ``json.dumps(to_json_dict(), sort_keys=True, indent=2)``
 and a newline: keys ``cap``, ``n`` and ``simplices``, the last a flat list
@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 
@@ -606,33 +606,42 @@ class CliqueList:
         return len(self.cliques)
 
 
-@dataclass
+@dataclass(eq=False)
 class SimplicialMap:
-    """Vertex assignment between complexes, verified simplicial on construction."""
+    """Vertex assignment between complexes, verified simplicial on construction.
+
+    ``vertex_map`` is a read-only int64 array.  ``images[d]`` holds, per source
+    d-simplex in row order, its image's dimension (``int8``) and target row.
+    """
 
     source: SimplicialComplex
     target: SimplicialComplex
-    vertex_map: tuple[int, ...]
+    vertex_map: np.ndarray
+    images: dict[int, tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.vertex_map = tuple(int(v) for v in self.vertex_map)
-        if len(self.vertex_map) != self.source.n:
+        self.vertex_map = vmap = np.array(self.vertex_map, dtype=np.int64)
+        vmap.flags.writeable = False
+        if len(vmap) != self.source.n:
             raise ValueError("vertex map must assign every source vertex")
-        for v in self.vertex_map:
-            if not 0 <= v < self.target.n:
-                raise ValueError(f"image vertex {v} out of range")
-        self._image = np.array(self.vertex_map, dtype=np.int64)
-        self._increasing = bool((self._image[1:] > self._image[:-1]).all())
+        bad = np.flatnonzero((vmap < 0) | (vmap >= self.target.n))
+        if bad.size:
+            raise ValueError(f"image vertex {int(vmap[bad[0]])} out of range")
+        self._increasing = bool((vmap[1:] > vmap[:-1]).all())
+        self.images = {}
         for d, rows in sorted(self.source._rows.items()):
-            found = np.zeros(len(rows), bool)
+            dims = np.empty(len(rows), np.int8)
+            found = np.empty(len(rows), np.int64)
             for k, (at, img) in self.image_rows(rows).items():
-                found[at] = self.target._locate(k - 1, img) >= 0
-            missing = np.flatnonzero(~found)
+                dims[at] = k - 1
+                found[at] = self.target._locate(k - 1, img)
+            missing = np.flatnonzero(found < 0)
             if missing.size:
                 s = tuple(rows[int(missing[0])].tolist())
                 raise ValueError(
                     f"map is not simplicial: image {self.map_simplex(s)} of {s} missing in target"
                 )
+            self.images[d] = (dims, found)
 
     def image_rows(self, rows: np.ndarray) -> dict[int, tuple[np.ndarray, np.ndarray]]:
         """Images of an (m, d+1) array of source simplices, grouped by size.
@@ -642,13 +651,13 @@ class SimplicialMap:
         image a dimension.  A strictly increasing vertex map keeps every
         row's order and size, so its images need no sort.
         """
-        img = self._image[rows]
+        img = self.vertex_map[rows]
         if self._increasing:
             return {img.shape[1]: (np.arange(len(img)), img)} if len(img) else {}
         return _images_by_size(np.sort(img, axis=1))
 
     def map_simplex(self, s: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(sorted({self.vertex_map[v] for v in s}))
+        return tuple(sorted(set(self.vertex_map[list(s)].tolist())))
 
 
 def _images_by_size(img: np.ndarray) -> dict[int, tuple[np.ndarray, np.ndarray]]:
@@ -826,8 +835,8 @@ def inclusion_map(
     if embedding is None:
         if src.n > dst.n:
             raise ValueError("source has more vertices than target")
-        embedding = tuple(range(src.n))
-    embedding = tuple(int(v) for v in embedding)
-    if len(set(embedding)) != len(embedding):
+        return SimplicialMap(src, dst, np.arange(src.n))
+    embedding = np.asarray(embedding, dtype=np.int64)
+    if len(np.unique(embedding)) != len(embedding):
         raise ValueError("embedding must be injective")
     return SimplicialMap(src, dst, embedding)

@@ -221,7 +221,7 @@ def nerve_coarsening_map(
             f"fine cell {cells[int(np.argmax(assignment < 0))]} is not contained "
             "in any coarse cell; the systems are not nested"
         )
-    return SimplicialMap(fine_nerve.complex, coarse_nerve.complex, tuple(assignment.tolist()))
+    return SimplicialMap(fine_nerve.complex, coarse_nerve.complex, assignment)
 
 
 def _raster_once(system: ConvexCellSystem, resolution: int) -> tuple[int, int]:

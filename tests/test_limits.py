@@ -36,7 +36,7 @@ from ripshadow.limits import (
 )
 from ripshadow.models import Circle, EmbeddedGraph, SamplerSpec, Trefoil, sample, theta_graph
 from ripshadow.oracle import brute_density
-from ripshadow.rips import build_rips, maximal_cliques
+from ripshadow.rips import SimplicialMap, build_rips, maximal_cliques
 from ripshadow.shadow import ConvexCellSystem, build_nerve
 
 
@@ -344,6 +344,27 @@ def test_projection_check_composite_has_full_rank():
     assert report.numbers["nerve_rank"] == [1, 1]
     assert report.numbers["composite_rank"] == [1, 1]
     assert report.numbers["subdivision_betti"] == report.numbers["complex_betti"]
+
+
+def test_each_map_looks_up_its_images_once(monkeypatch):
+    """A simplicial map looks up the images of each source dimension when it
+    is built; the chain maps it induces read the rows it keeps."""
+    calls: dict[tuple[int, int], int] = {}
+    maps: dict[int, SimplicialMap] = {}
+    image_rows = SimplicialMap.image_rows
+
+    def counted(f, rows):
+        maps[id(f)] = f
+        key = (id(f), rows.shape[1] - 1)
+        calls[key] = calls.get(key, 0) + 1
+        return image_rows(f, rows)
+
+    monkeypatch.setattr(SimplicialMap, "image_rows", counted)
+    spec = InverseSystemSpec(Circle(1.0), (0.5, 0.4, 0.3, 0.2), seed=7)
+    assert run_inverse_system(spec).verdict == "consistent"
+    assert run_projection_check(Circle(1.0), 0.4, n=60, seed=0).verdict == "consistent"
+    assert len(maps) == 4  # three stage inclusions and one carrier map
+    assert calls == {(i, d): 1 for i, f in maps.items() for d in f.source._rows}
 
 
 def test_projection_check_gates_out_of_regime():

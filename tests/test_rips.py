@@ -153,7 +153,7 @@ def test_monotone_images_equal_the_sorting_route():
         for s in source.simplices.values():
             rows = np.array(s, dtype=np.int64)
             got = f.image_rows(rows)
-            want = _images_by_size(np.sort(f._image[rows], axis=1))
+            want = _images_by_size(np.sort(f.vertex_map[rows], axis=1))
             assert got.keys() == want.keys()
             for k, (at, img) in got.items():
                 assert np.array_equal(at, want[k][0]) and np.array_equal(img, want[k][1])
@@ -335,7 +335,14 @@ def test_map_verification_matches_the_definition(src_tops, dst_tops, vertex_map)
     target = _closure(6, 3, dst_tops + [(v,) for v in range(6)])
     first_bad = _simplicial_by_definition(source, target, vertex_map)
     if first_bad is None:
-        SimplicialMap(source, target, vertex_map)
+        f = SimplicialMap(source, target, vertex_map)
+        # the kept images are each simplex's image dimension and target row
+        assert f.images.keys() == source.simplices.keys()
+        for d, simplices in source.simplices.items():
+            images = [f.map_simplex(s) for s in simplices]
+            rows = [target.simplices[len(t) - 1].index(t) for t in images]
+            assert f.images[d][0].tolist() == [len(t) - 1 for t in images]
+            assert f.images[d][1].tolist() == rows
     else:
         image = tuple(sorted({vertex_map[v] for v in first_bad}))
         with pytest.raises(ValueError, match=re.escape(f"image {image} of {first_bad} missing")):
