@@ -49,10 +49,10 @@ from .models import (
     sample,
     theta_graph,
 )
-from .oracle import OracleBudgetError, brute_homology, brute_rips
+from .oracle import OracleBudgetError, brute_homology, brute_rips, raster_betti_2d
 from .reconstruct import build_curve_K
 from .rips import IntRows, SimplicialComplex, build_rips, maximal_cliques, rows_text
-from .shadow import ConvexCellSystem, build_nerve, raster_betti_2d
+from .shadow import ConvexCellSystem, build_nerve
 
 EXIT_OK = 0
 EXIT_ERROR = 1

@@ -12,16 +12,20 @@ pivot, processed in basis order.  So ``betti`` only counts pairs, and
 ``homology_basis`` reduces only the boundary columns that survive, plus one
 cycle per unpaired (essential) simplex.
 
-A column stays as its face row (a boundary) or its slice of a sorted coface
-array (a coboundary) until it has to be reduced or another column's
-reduction reads it; only then does it become a bit mask.  Under clearing
-almost every column of a Rips filtration is already reduced, so few ever do.
+Under clearing almost every column of a Rips filtration is already reduced
+(Bauer's Ripser, 2021, rests on the same observation), so a column is only
+formed when it has to be reduced or another column's reduction reads it.
+Coboundary pairs are claimed in bulk from each lower simplex's lowest
+coface, and only the columns that lose a claim are reduced, as sets of
+cofaces gathered from the face array.  A boundary column stays its face row
+until then, and becomes a bit mask.
 
 Every rank, cycle representative, and induced matrix is deterministic for a
 given complex.  Reports carry only ranks, which do not depend on the basis.
 """
 from __future__ import annotations
 
+import heapq
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import combinations, product
@@ -52,17 +56,6 @@ class CarrierVerificationError(RuntimeError):
 
 def _mask(indices) -> int:
     return sum(1 << i for i in indices)
-
-
-def _column_mask(indices: np.ndarray) -> int:
-    """``_mask`` of an increasing index array, set as bits of one byte string.
-
-    Cheaper than summing shifts once a column holds more than a few bits
-    far up, as coboundary columns do.
-    """
-    bits = np.zeros(indices[-1] + 1, np.uint8)
-    bits[indices] = 1
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
 def _reduce(
@@ -183,46 +176,114 @@ def _forest_pairs(chain: ChainComplexZ2) -> dict[int, int]:
     return pairs
 
 
+class _CofaceColumns:
+    """Coface columns of lower simplices, gathered from a face array on demand.
+
+    The column of a lower simplex is the set of rows of ``faces`` that hold
+    it.  ``fetch`` gathers the columns of many simplices in one pass over
+    the face array: a mask table marks them, and the hits are grouped by
+    simplex.  A column that ``get`` misses is gathered together with the
+    columns of the owners, read from ``owner``, of every coface the last
+    pass gathered, since a reduction goes on with those.  Once the passes
+    made reach log2 of the face array's size, as many as a comparison sort
+    of it takes, one stable sort lists every column and serves the rest.
+    """
+
+    def __init__(self, faces: np.ndarray, n_lower: int, owner: np.ndarray):
+        self._faces = faces
+        self._n_lower = n_lower
+        self._owner = owner
+        self._cols: dict[int, set[int]] = {}
+        self._last = np.empty(0, np.int64)  # cofaces the last pass gathered
+        self._passes = max(1, faces.size.bit_length() - 1)
+        self._table: tuple[np.ndarray, np.ndarray] | None = None
+
+    def fetch(self, want: np.ndarray) -> None:
+        """Gather the columns of the distinct simplices in the increasing
+        array ``want``."""
+        flat = self._faces.ravel()
+        if self._table is None and not self._passes:
+            bounds = np.zeros(self._n_lower + 1, np.int64)
+            np.cumsum(np.bincount(flat, minlength=self._n_lower), out=bounds[1:])
+            self._table = np.argsort(flat, kind="stable") // self._faces.shape[1], bounds
+            self._last = self._last[:0]
+        if self._table is not None:
+            cofaces, bounds = self._table
+            for t in want.tolist():
+                self._cols[t] = set(cofaces[bounds[t] : bounds[t + 1]].tolist())
+            return
+        self._passes -= 1
+        marked = np.zeros(self._n_lower, bool)
+        marked[want] = True
+        at = np.flatnonzero(marked[flat])
+        held = flat[at]
+        order = np.argsort(held, kind="stable")
+        held, self._last = held[order], at[order] // self._faces.shape[1]
+        ends = np.searchsorted(held, want, "right").tolist()
+        for t, lo, hi in zip(want.tolist(), [0] + ends[:-1], ends):
+            self._cols[t] = set(self._last[lo:hi].tolist())
+
+    def get(self, t: int) -> set[int]:
+        """The column of simplex t; do not change it."""
+        col = self._cols.get(t)
+        if col is None:
+            owners = self._owner[self._last]
+            want = {t}.union(owners[owners >= 0].tolist()).difference(self._cols)
+            self.fetch(np.array(sorted(want), np.int64))
+            col = self._cols[t]
+        return col
+
+
 def _coboundary_pairs(
     faces: np.ndarray, n_lower: int, cleared: dict[int, int]
 ) -> dict[int, int]:
     """Pairs from the reduced coboundary columns of the lower simplices.
 
-    Columns are processed from the last lower simplex to the first, with
-    the lowest coface as pivot.  One stable sort of the face array lists
-    every lower simplex's cofaces in increasing order, so a column is a
-    slice of that array and its first entry is its pivot until it is
-    reduced.  The loop reads one lowest coface per uncleared lower simplex;
-    a column turns into a bit mask only when it has to be reduced or another
-    column is reduced by it, and until then the simplex that owns a pivot
-    stands for its column.
+    The columns of the lower simplices not in ``cleared`` are reduced from
+    the last to the first, with the lowest coface as pivot; the pairs equal
+    those of the one-column-at-a-time loop (``oracle.brute_coboundary_pairs``).
+    Almost no column needs reducing, so the pairs are claimed in bulk: one
+    pass per face column finds every lower simplex's lowest coface, and each
+    pivot goes to the highest live column whose lowest coface it is.  Only
+    the columns that lose a claim are reduced, highest first; a reduced
+    column that takes a pivot claimed by a lower column displaces that
+    column, which is then reduced in its turn.  Their coface columns come
+    from ``_CofaceColumns``.
     """
-    flat = faces.ravel()
-    cofaces = np.argsort(flat, kind="stable") // faces.shape[1]
-    bounds = np.zeros(n_lower + 1, np.int64)
-    np.cumsum(np.bincount(flat, minlength=n_lower), out=bounds[1:])
-    live = bounds[:-1] < bounds[1:]
+    m = len(faces)
+    rows = np.arange(m)
+    low = np.full(n_lower, m, np.int64)  # lowest coface, or m for none
+    for j in range(faces.shape[1]):
+        np.minimum.at(low, faces[:, j], rows)
+    live = low < m
     live[np.fromiter(cleared, np.int64, len(cleared))] = False
-    taus = np.flatnonzero(live)[::-1]
-    reduced: dict[int, int] = {}  # pivot -> reduced column, once it is a mask
-    pairs = {}
-    for tau, low in zip(taus.tolist(), cofaces[bounds[taus]].tolist()):
-        if low in pairs:
-            cur = _column_mask(cofaces[bounds[tau] : bounds[tau + 1]])
+    taus = np.flatnonzero(live)
+    owner = np.full(m, -1, np.int64)  # pivot -> lower simplex, or -1
+    np.maximum.at(owner, low[taus], taus)
+    lost = taus[owner[low[taus]] != taus]
+    if lost.size:
+        cols = _CofaceColumns(faces, n_lower, owner)
+        cols.fetch(lost)
+        reduced: dict[int, set[int]] = {}  # pivot -> column, once read or reduced
+        pending = (-lost[::-1]).tolist()  # a heap: the highest simplex first
+        while pending:
+            tau = -heapq.heappop(pending)
+            cur = set(cols.get(tau))
             while cur:
-                low = (cur & -cur).bit_length() - 1
-                owner = pairs.get(low)
-                if owner is None:
+                p = min(cur)
+                o = int(owner[p])
+                if o < tau:  # no higher column owns the pivot: tau takes it
+                    if o >= 0:
+                        heapq.heappush(pending, -o)
+                    owner[p] = tau
+                    reduced[p] = cur
                     break
-                other = reduced.get(low)
+                other = reduced.get(p)
                 if other is None:
-                    other = reduced[low] = _column_mask(cofaces[bounds[owner] : bounds[owner + 1]])
+                    other = reduced[p] = cols.get(o)
                 cur ^= other
-            if not cur:
-                continue
-            reduced[low] = cur
-        pairs[low] = tau
-    return pairs
+    pivots = np.flatnonzero(owner >= 0)
+    return dict(zip(pivots.tolist(), owner[pivots].tolist()))
 
 
 def persistence_pairs(chain: ChainComplexZ2, up_to: int) -> dict[int, dict[int, int]]:

@@ -342,7 +342,8 @@ def _rips_stages(metrics, betas, cap: int) -> list[SimplicialComplex]:
     Stages that share a metric object share one flag expansion, at their
     largest beta; every other one of them keeps the simplices whose
     diameter is below its own beta, which are exactly ``build_rips`` at
-    that beta.
+    that beta.  Being cuts of one complex, such stages include into each
+    other by their masks, with no lookup (see ``SimplicialMap``).
     """
     groups: dict[int, list[int]] = {}
     for i, met in enumerate(metrics):

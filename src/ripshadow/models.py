@@ -228,8 +228,10 @@ class Model:
         geo = self.geodesic_param_distance(params[:, None], params[None, :])
         return cdist(pts, pts), np.asarray(geo)
 
-    @property
+    @cached_property
     def max_chord_bound(self) -> float:
+        """The largest chord of the distortion table, less 0.1 %; one scan
+        of the table, on the first read."""
         chord, _ = self._pair_tables
         return float(chord.max()) * 0.999
 

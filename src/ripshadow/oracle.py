@@ -11,6 +11,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
+from scipy import ndimage
 
 from . import _exact
 from .homology import InternalConsistencyError
@@ -27,8 +28,17 @@ from .rips import SimplicialComplex
 from .shadow import ConvexCellSystem
 
 
+# the raster oracle's first grid, doubled until two agree or past the last
+_RASTER_FIRST = 64
+_RASTER_LAST = 4096
+
+
 class OracleBudgetError(ValueError):
     """Input too large for a brute-force check."""
+
+
+class RasterInconclusiveError(RuntimeError):
+    """Raised when raster Betti numbers fail to stabilize by the finest grid."""
 
 
 def brute_rips(metric: MetricMatrix, beta: float, cap: int = 2) -> SimplicialComplex:
@@ -119,6 +129,34 @@ def brute_forest_pairs(complex_: SimplicialComplex) -> dict[int, int]:
         if a != b:
             root[b] = a
             pairs[j] = b
+    return pairs
+
+
+def brute_coboundary_pairs(
+    faces: np.ndarray, n_lower: int, cleared: dict[int, int]
+) -> dict[int, int]:
+    """Coboundary pairs by the one-column-at-a-time loop.
+
+    Every column is a bit mask over the upper simplices that hold its lower
+    simplex, set coface by coface.  The columns of the lower simplices not
+    in ``cleared`` are taken from the last to the first, each reduced
+    against the reduced columns before it with the lowest set bit as pivot;
+    a nonzero residue pairs its pivot with the simplex.
+    """
+    cols = [0] * n_lower
+    for i, row in enumerate(faces.tolist()):
+        for f in row:
+            cols[f] |= 1 << i
+    reduced: dict[int, int] = {}
+    pairs = {}
+    for tau in range(n_lower - 1, -1, -1):
+        col = 0 if tau in cleared else cols[tau]
+        while col and (col & -col).bit_length() - 1 in reduced:
+            col ^= reduced[(col & -col).bit_length() - 1]
+        if col:
+            low = (col & -col).bit_length() - 1
+            reduced[low] = col
+            pairs[low] = tau
     return pairs
 
 
@@ -591,3 +629,117 @@ def brute_maximal_cliques(metric: MetricMatrix, beta: float) -> list[tuple[int, 
             ):
                 out.append(s)
     return sorted(out)
+
+
+def _raster_once(system: ConvexCellSystem, resolution: int) -> tuple[int, int]:
+    pts = system.coords.points
+    lo = pts.min(axis=0)
+    hi = pts.max(axis=0)
+    extent = float(max(hi - lo))
+    if extent == 0.0:
+        return (1, 0)
+    h = extent / resolution
+    lo = lo - h
+    nx = int(math.ceil((hi[0] - lo[0]) / h)) + 2
+    ny = int(math.ceil((hi[1] - lo[1]) / h)) + 2
+    mask = np.zeros((ny, nx), dtype=bool)
+    pad = 0.71 * h
+    xs = lo[0] + (np.arange(nx) + 0.5) * h
+    ys = lo[1] + (np.arange(ny) + 0.5) * h
+    for i in range(len(system)):
+        cpts = system.cell_points(i)
+        cl = cpts.min(axis=0) - pad
+        ch = cpts.max(axis=0) + pad
+        ix = np.flatnonzero((xs >= cl[0]) & (xs <= ch[0]))
+        iy = np.flatnonzero((ys >= cl[1]) & (ys <= ch[1]))
+        if ix.size == 0 or iy.size == 0:
+            continue
+        gx, gy = np.meshgrid(xs[ix], ys[iy])
+        plist = np.stack([gx.ravel(), gy.ravel()], axis=1)
+        hull = _float_hull(cpts)
+        near = _near_hull(plist, hull, pad)
+        sub = near.reshape(gy.shape)
+        mask[np.ix_(iy, ix)] |= sub
+    fg_structure = np.ones((3, 3), dtype=bool)
+    _, b0 = ndimage.label(mask, structure=fg_structure)
+    bg_labels, nbg = ndimage.label(~mask)
+    border = set(bg_labels[0, :]) | set(bg_labels[-1, :]) | set(bg_labels[:, 0]) | set(
+        bg_labels[:, -1]
+    )
+    border.discard(0)
+    b1 = nbg - len(border)
+    return (int(b0), int(b1))
+
+
+def _float_hull(points: np.ndarray) -> np.ndarray:
+    """Counterclockwise planar hull; collinear inputs give a 2-point chain."""
+    pts = np.unique(points, axis=0)
+    if pts.shape[0] <= 2:
+        return pts
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    pts = pts[order]
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    lower: list = []
+    for p in pts:
+        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    upper: list = []
+    for p in pts[::-1]:
+        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    hull = np.array(lower[:-1] + upper[:-1])
+    if hull.shape[0] < 3:
+        return np.array([pts[0], pts[-1]])
+    return hull
+
+
+def _near_hull(plist: np.ndarray, hull: np.ndarray, pad: float) -> np.ndarray:
+    """Which query points are inside the hull or within pad of its boundary."""
+    m = hull.shape[0]
+    if m == 1:
+        return np.linalg.norm(plist - hull[0], axis=1) <= pad
+    inside = np.ones(plist.shape[0], dtype=bool)
+    near = np.zeros(plist.shape[0], dtype=bool)
+    if m == 2:
+        inside[:] = False
+    edges = [(hull[i], hull[(i + 1) % m]) for i in range(m)] if m >= 3 else [
+        (hull[0], hull[1])
+    ]
+    for a, b in edges:
+        d = b - a
+        if m >= 3:
+            cr = d[0] * (plist[:, 1] - a[1]) - d[1] * (plist[:, 0] - a[0])
+            inside &= cr >= 0
+        seg2 = float(d @ d)
+        t = np.clip(((plist - a) @ d) / seg2, 0.0, 1.0)
+        proj = a + t[:, None] * d
+        near |= np.linalg.norm(plist - proj, axis=1) <= pad
+    return inside | near
+
+
+def raster_betti_2d(system: ConvexCellSystem) -> tuple[int, int]:
+    """Grid oracle for the Betti numbers of the union of planar cells.
+
+    The union is drawn with one-pixel strokes, components are counted with
+    8-connectivity and holes as bounded background components under
+    4-connectivity, and the grid is refined until two consecutive
+    resolutions agree.
+    """
+    if system.coords.dim != 2:
+        raise ValueError("raster oracle is planar only")
+    res = _RASTER_FIRST
+    prev: tuple[int, int] | None = None
+    while res <= _RASTER_LAST:
+        cur = _raster_once(system, res)
+        if prev is not None and cur == prev:
+            return cur
+        prev = cur
+        res *= 2
+    raise RasterInconclusiveError(
+        f"raster Betti numbers failed to stabilize below resolution {_RASTER_LAST}"
+    )

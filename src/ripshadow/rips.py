@@ -32,9 +32,12 @@ vertices, so n and every rank are at most 2**31 and every code is below
 2**62, which fits ``int64`` for every dimension.  Membership, face lookups
 and the images of a simplicial map, found once and kept by the map, look up
 whole arrays of rows at once: a table gather for the first vertex, then one
-``np.searchsorted`` per further vertex.  A subcomplex cut from a complex by
-row masks (``SimplicialComplex.subcomplex``) gathers its face arrays
-through the renumbered masks and looks nothing up.
+``np.searchsorted`` per further vertex.  Cuts of one complex by row masks
+(``SimplicialComplex.subcomplex``) look nothing up: a cut gathers its face
+arrays through the renumbered masks and keeps its parent and masks, and
+the identity map between two cuts of one complex, or between a cut and
+the complex, reads each image's row off the target's mask and checks
+inclusion as mask containment.
 
 A complex file is ``json.dumps(to_json_dict(), sort_keys=True, indent=2)``
 and a newline: keys ``cap``, ``n`` and ``simplices``, the last a flat list
@@ -414,6 +417,8 @@ class SimplicialComplex:
         self.cap = cap
         self._keys: dict[int, list | None] = {}
         self._faces: dict[int, np.ndarray] = {}
+        # the complex this one was cut from and the row masks of the cut
+        self._cut: tuple[SimplicialComplex, dict[int, np.ndarray]] | None = None
 
     @property
     def simplices(self) -> dict[int, list[tuple[int, ...]]]:
@@ -508,8 +513,15 @@ class SimplicialComplex:
         The kept rows stay sorted and distinct.  One gather per dimension
         checks that every face of a kept simplex is kept, raising for the
         first that is not, and the subcomplex's face arrays are this
-        complex's gathered through the renumbered masks.
+        complex's gathered through the renumbered masks.  The subcomplex
+        keeps this complex and a read-only copy of the masks as its cut, so
+        an inclusion between two cuts of one complex reads its images off
+        the masks (see ``SimplicialMap``).
         """
+        keep = {d: np.array(keep[d], bool) for d in self._rows}
+        for d, r in self._rows.items():
+            if keep[d].shape != (len(r),):
+                raise ValueError(f"mask of dimension {d} must have {len(r)} entries")
         rows = {d: np.compress(keep[d], r, axis=0) for d, r in self._rows.items()}
         sub = SimplicialComplex(self.n, self.cap, rows)
         for d in sorted(sub._rows)[1:]:
@@ -520,6 +532,9 @@ class SimplicialComplex:
             out = (np.cumsum(keep[d - 1]) - 1)[faces]
             out.flags.writeable = False
             sub._faces[d] = out
+        for mask in keep.values():
+            mask.flags.writeable = False
+        sub._cut = (self, keep)
         return sub
 
     def validate_face_closed(self) -> None:
@@ -612,6 +627,13 @@ class SimplicialMap:
 
     ``vertex_map`` is a read-only int64 array.  ``images[d]`` holds, per source
     d-simplex in row order, its image's dimension (``int8``) and target row.
+
+    The identity vertex map between two cuts of one complex (or a cut and
+    the complex itself, see ``SimplicialComplex.subcomplex``) reads them off
+    the masks: a source row's row in the complex is a position of its mask,
+    the check is that the target's mask holds it, and its target row is
+    that position of ``cumsum(target mask) - 1``.  Any other map looks its
+    images up in the target.
     """
 
     source: SimplicialComplex
@@ -628,13 +650,25 @@ class SimplicialMap:
         if bad.size:
             raise ValueError(f"image vertex {int(vmap[bad[0]])} out of range")
         self._increasing = bool((vmap[1:] > vmap[:-1]).all())
+        # a strictly increasing map onto 0..target.n-1 is the identity
+        identity = self._increasing and len(vmap) == self.target.n
+        src_root, src_keep = self.source._cut or (self.source, None)
+        dst_root, dst_keep = self.target._cut or (self.target, None)
+        by_masks = identity and src_root is dst_root
         self.images = {}
         for d, rows in sorted(self.source._rows.items()):
-            dims = np.empty(len(rows), np.int8)
-            found = np.empty(len(rows), np.int64)
-            for k, (at, img) in self.image_rows(rows).items():
-                dims[at] = k - 1
-                found[at] = self.target._locate(k - 1, img)
+            if by_masks:
+                dims = np.full(len(rows), d, np.int8)
+                found = np.arange(len(rows)) if src_keep is None else np.flatnonzero(src_keep[d])
+                if dst_keep is not None:
+                    held = dst_keep[d]
+                    found = np.where(held[found], (np.cumsum(held) - 1)[found], -1)
+            else:
+                dims = np.empty(len(rows), np.int8)
+                found = np.empty(len(rows), np.int64)
+                for k, (at, img) in self.image_rows(rows).items():
+                    dims[at] = k - 1
+                    found[at] = self.target._locate(k - 1, img)
             missing = np.flatnonzero(found < 0)
             if missing.size:
                 s = tuple(rows[int(missing[0])].tolist())

@@ -31,10 +31,10 @@ from ripshadow.models import (
     sample,
     theta_graph,
 )
-from ripshadow.oracle import brute_rips
+from ripshadow.oracle import brute_rips, raster_betti_2d
 from ripshadow.reconstruct import build_curve_K
 from ripshadow.rips import build_rips, maximal_cliques
-from ripshadow.shadow import ConvexCellSystem, build_nerve, raster_betti_2d
+from ripshadow.shadow import ConvexCellSystem, build_nerve
 
 
 def _verdict(capsys, num: int, limit_s: float, started: float, ok: bool, detail: str):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from itertools import combinations, permutations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from ripshadow.homology import (
     persistence_pairs,
     subdivision_chain_columns,
     tower_ranks,
+    _CofaceColumns,
     _echelon_basis,
     _forest_pairs,
 )
@@ -34,6 +36,7 @@ from ripshadow.models import Circle, PointCloud, SamplerSpec, euclidean_metric, 
 from ripshadow.oracle import (
     brute_barycentric_subdivision,
     brute_boundary_echelon,
+    brute_coboundary_pairs,
     brute_forest_pairs,
     brute_homology,
 )
@@ -186,6 +189,87 @@ def test_coboundary_pairs_equal_boundary_pivots():
     assert betti(complex_, 1) == [1, 1]
 
 
+def _check_coboundary_pairs(complex_: SimplicialComplex) -> int:
+    """Compare every coboundary dimension of ``persistence_pairs`` with the
+    one-column-at-a-time oracle; returns how many columns lost their claim."""
+    chain = ChainComplexZ2(complex_)
+    pairs = persistence_pairs(chain, max(complex_.cap - 1, 0))
+    lost = 0
+    for m in sorted(pairs)[1:]:
+        faces, n_lower = chain.faces(m), chain.size(m - 1)
+        assert pairs[m] == brute_coboundary_pairs(faces, n_lower, pairs[m - 1])
+        # lower simplices whose lowest coface a higher live column also has
+        first = {}
+        for i, row in enumerate(faces.tolist()):
+            for f in row:
+                first.setdefault(f, i)
+        live = [t for t in sorted(first) if t not in pairs[m - 1]]
+        lost += len(live) - len({first[t] for t in live})
+    return lost
+
+
+def _two_tetrahedra() -> SimplicialComplex:
+    # solid tetrahedra on the edge (4, 5): one coboundary column loses its claim
+    groups: dict[int, set] = {0: {(i,) for i in range(6)}}
+    for top in ((0, 2, 4, 5), (1, 3, 4, 5)):
+        for size in range(2, 5):
+            groups.setdefault(size - 1, set()).update(combinations(top, size))
+    return SimplicialComplex(6, 3, {d: sorted(g) for d, g in groups.items()})
+
+
+def test_coboundary_pairs_equal_the_one_column_loop():
+    lost = {"closed": 0, "rips": 0, "subdivided": 0}
+
+    @settings(max_examples=60, deadline=None)
+    @given(_closed_complexes())
+    @example(_two_tetrahedra())
+    @example(SimplicialComplex(4, 2, {0: [(i,) for i in range(4)]}))  # no edges
+    @example(_cycle(6))  # no triangles
+    def on_closed(complex_):
+        lost["closed"] += _check_coboundary_pairs(complex_)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_PLANAR_POINTS, st.floats(0.05, 1.2))
+    @example([(0.5 * np.cos(t), 0.5 * np.sin(t)) for t in np.arange(10) * (np.pi / 5)], 0.9)
+    def on_rips(points, beta):
+        metric = euclidean_metric(PointCloud(np.array(points, dtype=float)))
+        lost["rips"] += _check_coboundary_pairs(build_rips(metric, beta, cap=3))
+
+    @settings(max_examples=40, deadline=None)
+    @given(_closed_complexes())
+    @example(_octahedron())
+    @example(_cone_over_square())
+    def on_subdivided(complex_):
+        lost["subdivided"] += _check_coboundary_pairs(barycentric_subdivision(complex_)[0])
+
+    on_closed()
+    on_rips()
+    on_subdivided()
+    # every kind of case must reach the columns that lose their claim
+    assert min(lost.values()) > 0, lost
+
+
+def test_coboundary_pairs_of_a_subdivided_rips_complex():
+    """A subdivided Rips complex: its three losing columns reduce through
+    19 owner columns, gathered over several passes."""
+    cloud = sample(SamplerSpec(Circle(), 60, tau=0.05, seed=3))
+    complex_ = build_rips(euclidean_metric(cloud), 0.4, cap=2)
+    assert _check_coboundary_pairs(barycentric_subdivision(complex_)[0]) == 3
+
+
+def test_coface_columns_switch_to_one_sorted_table():
+    """Columns asked for one at a time, with no owners to gather ahead,
+    spend the passes and then come from one sort; all are exact."""
+    complex_ = _octahedron()
+    faces = ChainComplexZ2(complex_).faces(2)
+    n_lower = len(complex_._rows[1])
+    cols = _CofaceColumns(faces, n_lower, np.full(len(faces), -1, np.int64))
+    for t in range(n_lower):
+        want = {i for i, row in enumerate(faces.tolist()) if t in row}
+        assert cols.get(t) == want
+    assert cols._table is not None and not cols._passes
+
+
 def _check_lazy_echelon(complex_: SimplicialComplex, up_to: int) -> int:
     """Compare every boundary echelon of a basis with the eager oracle;
     returns how many columns had to be reduced."""
@@ -218,6 +302,45 @@ def _decagon_tower() -> list[SimplicialComplex]:
     ts = np.arange(10) * (2.0 * np.pi / 10)
     metric = euclidean_metric(PointCloud(0.5 * np.stack([np.cos(ts), np.sin(ts)], axis=1)))
     return [build_rips(metric, beta, cap=3) for beta in (0.5, 0.9)]
+
+
+def _map_error(src: SimplicialComplex, dst: SimplicialComplex) -> str | None:
+    """The message of the ValueError an identity map from src to dst raises."""
+    try:
+        inclusion_map(src, dst)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rips_towers())
+@example(_decagon_tower())
+def test_inclusions_between_cuts_read_their_images_off_the_masks(complexes):
+    """Stages cut from the top stage map into each other by the masks, with
+    the images and errors of the lookup on the uncut complexes."""
+    top = complexes[-1]
+    cuts = [
+        top.subcomplex({d: c._locate(d, rows) >= 0 for d, rows in top._rows.items()})
+        for c in complexes[:-1]
+    ] + [top]
+    assert cuts == complexes
+    lookup = mock.patch.object(SimplicialMap, "image_rows", side_effect=AssertionError)
+    for i, j in combinations(range(len(cuts)), 2):
+        with lookup:
+            got = inclusion_map(cuts[i], cuts[j]).images
+        # complexes[i] is no cut, so this map looks its images up
+        want = SimplicialMap(complexes[i], complexes[j], np.arange(top.n)).images
+        assert got.keys() == want.keys()
+        for d, (dims, rows) in want.items():
+            assert got[d][0].dtype == dims.dtype
+            assert np.array_equal(got[d][0], dims) and np.array_equal(got[d][1], rows)
+        # a coarser cut into a finer one fails as the lookup does
+        with lookup:
+            failed = _map_error(cuts[j], cuts[i])
+        assert failed == _map_error(complexes[j], complexes[i])
+        assert (failed is None) == (cuts[i] == cuts[j])
+    assert all(_map_error(c, c) is None for c in cuts)
 
 
 def test_lazy_boundary_echelon_equals_the_eager_oracle():

@@ -36,7 +36,7 @@ from ripshadow.limits import (
 )
 from ripshadow.models import Circle, EmbeddedGraph, SamplerSpec, Trefoil, sample, theta_graph
 from ripshadow.oracle import brute_density
-from ripshadow.rips import SimplicialMap, build_rips, maximal_cliques
+from ripshadow.rips import SimplicialComplex, SimplicialMap, build_rips, maximal_cliques
 from ripshadow.shadow import ConvexCellSystem, build_nerve
 
 
@@ -348,23 +348,53 @@ def test_projection_check_composite_has_full_rank():
 
 def test_each_map_looks_up_its_images_once(monkeypatch):
     """A simplicial map looks up the images of each source dimension when it
-    is built; the chain maps it induces read the rows it keeps."""
+    is built; the chain maps it induces read the rows it keeps.  The stage
+    inclusions of a Rips tower join cuts of one complex, so they read their
+    images off the masks and look up nothing."""
+    built: list[SimplicialMap] = []
     calls: dict[tuple[int, int], int] = {}
-    maps: dict[int, SimplicialMap] = {}
-    image_rows = SimplicialMap.image_rows
+    post_init, image_rows = SimplicialMap.__post_init__, SimplicialMap.image_rows
+
+    def recorded(f):
+        built.append(f)
+        post_init(f)
 
     def counted(f, rows):
-        maps[id(f)] = f
         key = (id(f), rows.shape[1] - 1)
         calls[key] = calls.get(key, 0) + 1
         return image_rows(f, rows)
 
+    monkeypatch.setattr(SimplicialMap, "__post_init__", recorded)
     monkeypatch.setattr(SimplicialMap, "image_rows", counted)
     spec = InverseSystemSpec(Circle(1.0), (0.5, 0.4, 0.3, 0.2), seed=7)
     assert run_inverse_system(spec).verdict == "consistent"
+    assert len(built) == 3 and calls == {}  # three stage inclusions
     assert run_projection_check(Circle(1.0), 0.4, n=60, seed=0).verdict == "consistent"
-    assert len(maps) == 4  # three stage inclusions and one carrier map
-    assert calls == {(i, d): 1 for i, f in maps.items() for d in f.source._rows}
+    assert len(built) == 4  # and one carrier map
+    assert calls == {(id(built[3]), d): 1 for d in built[3].source._rows}
+
+
+def test_a_coarser_stage_cut_fails_its_inclusion_in_the_report(monkeypatch):
+    """Stages handed over coarsest first: the first inclusion, from the top
+    stage into a cut of it, fails as the lookup fails and is reported."""
+    stages = ripshadow.limits._rips_stages
+    made: list[SimplicialComplex] = []
+
+    def coarsest_first(*args):
+        made.extend(stages(*args))
+        return made[::-1]
+
+    monkeypatch.setattr(ripshadow.limits, "_rips_stages", coarsest_first)
+    spec = InverseSystemSpec(Circle(1.0), (0.5, 0.4, 0.3, 0.2), seed=7)
+    report = run_inverse_system(spec)
+    assert report.towers == {}
+    top, cut = made[-1], made[-2]
+    assert cut._cut[0] is top
+    uncut = SimplicialComplex(top.n, top.cap, top._rows)
+    with pytest.raises(ValueError) as looked_up:
+        SimplicialMap(uncut, cut, np.arange(top.n))
+    failed = [a for a in report.annotations if a.startswith("stage inclusion failed")]
+    assert failed == [f"stage inclusion failed: {looked_up.value}"]
 
 
 def test_projection_check_gates_out_of_regime():

@@ -117,6 +117,16 @@ def test_circle_constants():
         c.distortion(2.0 + 1e-12)
 
 
+def test_max_chord_bound_scans_the_pair_table_once():
+    g = theta_graph()
+    chord, geo = g._pair_tables
+    want = float(chord.max()) * 0.999
+    assert g.max_chord_bound == want
+    # a second read does not scan the table again
+    g.__dict__["_pair_tables"] = (np.zeros_like(chord), geo)
+    assert g.max_chord_bound == want
+
+
 def _scalar_point(model, t: float) -> np.ndarray:
     """One point by the scalar formulas, the reference for ``points_at``."""
     if isinstance(model, Circle):

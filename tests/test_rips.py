@@ -118,6 +118,9 @@ def test_subcomplex_refuses_a_mask_that_drops_a_face():
     keep[0][3] = False
     with pytest.raises(ValueError, match=re.escape("vertex singleton [3] missing")):
         cx.subcomplex(keep)
+    keep[1] = keep[1][:-1]
+    with pytest.raises(ValueError, match=re.escape("mask of dimension 1 must have 4 entries")):
+        cx.subcomplex(keep)
 
 
 _VERTEX_QUERIES = st.one_of(st.integers(-2, 7), st.sampled_from([-(2**63), 2**63 - 1]))

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from ripshadow import _exact
 from ripshadow.homology import betti
 from ripshadow.models import Circle, PointCloud, SamplerSpec, euclidean_metric, sample, theta_graph
-from ripshadow.oracle import brute_hull_intersection, brute_nerve
+from ripshadow.oracle import brute_hull_intersection, brute_nerve, raster_betti_2d
 from ripshadow.rips import CliqueList, maximal_cliques
 from ripshadow.shadow import (
     ConvexCellSystem,
@@ -20,7 +20,6 @@ from ripshadow.shadow import (
     build_nerve,
     hulls_intersect,
     nerve_coarsening_map,
-    raster_betti_2d,
 )
 
 
