@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -76,11 +77,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_text(path: str, text: str) -> None:
+    """Write text to path through a temporary file in its directory, given
+    the mode a plain ``open`` would create it with (``mkstemp`` makes it
+    owner-only) and then renamed over path."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".rsl-tmp-")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -578,7 +585,9 @@ def _add_sampling_flags(p) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process."""
     parser = _Parser(
         prog="ripshadow",
         description="Proximity complexes, their Euclidean shadows, and limit towers.",
@@ -693,6 +702,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    # numpy advises huge pages for arrays of 4 MiB or more; the heap ranges
+    # such short-lived arrays leave keep the advice, and the kernel (at a fault
+    # or from its background scanner) fills them with 2 MiB pages however few
+    # of their 4 KiB pages are in use, so identical runs differ in peak memory.
+    advised = np._core.multiarray._set_madvise_hugepage(False)
     try:
         args = parser.parse_args(argv)
         if not hasattr(args, "runner"):
@@ -709,6 +723,8 @@ def main(argv=None) -> int:
         # parameter validation raised past the flag layer, still a usage problem
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        np._core.multiarray._set_madvise_hugepage(advised)
 
 
 def entry() -> None:

@@ -423,13 +423,14 @@ def homology_basis(complex_: SimplicialComplex, up_to: int) -> HomologyBasis:
 # induced maps
 
 
-def _vertex_chain_columns(f: SimplicialMap, m: int) -> list[int]:
-    """Chain map columns of a simplicial map in dimension m, read from the
-    image rows the map keeps: degenerate images drop to zero."""
-    if m not in f.images:
-        return []
-    dims, at = f.images[m]
-    return [1 << p if k == m else 0 for k, p in zip(dims.tolist(), at.tolist())]
+def _push(table: np.ndarray, chain: int) -> int:
+    """Image of a chain, a bit mask over the source rows, under a chain map
+    table: the target rows of its set bits' table rows that occur an odd
+    number of times, -1 adding nothing."""
+    raw = np.frombuffer(chain.to_bytes((chain.bit_length() + 7) // 8, "little"), np.uint8)
+    rows = table[np.flatnonzero(np.unpackbits(raw, bitorder="little"))].ravel()
+    found, count = np.unique(rows[rows >= 0], return_counts=True)
+    return _mask(found[count % 2 == 1].tolist())
 
 
 def _sum_used(coeff: dict[int, int], used: list[int]) -> int:
@@ -441,14 +442,19 @@ def _sum_used(coeff: dict[int, int], used: list[int]) -> int:
 
 
 def induced_from_chain_columns(
-    chain_cols: dict[int, list[int]],
+    tables: dict[int, np.ndarray],
     src_basis: HomologyBasis,
     dst_basis: HomologyBasis,
     up_to: int,
 ) -> list[Gf2Matrix]:
     """Express images of source cycle representatives in the target basis.
 
-    The target representatives are reduced against the target boundary
+    ``tables[m]`` is a chain map in dimension m, read only where the source
+    has m-cycles: one row per source m-simplex of the target rows its image
+    sums, -1 adding nothing (``SimplicialMap.images``, the flag rows of
+    ``subdivision_chain_columns``, or a gather of the one through the
+    other).  Only the source representatives are pushed through it.  The
+    target representatives are reduced against the target boundary
     echelon and their pivots laid over it (the echelon itself is shared
     and not copied), each new pivot recording the representatives it sums
     (boundary pivots sum none).  An image's coordinates are the XOR of
@@ -473,15 +479,10 @@ def induced_from_chain_columns(
             p = cur.bit_length() - 1
             top[p] = cur
             coeff[p] = (1 << idx) ^ _sum_used(coeff, used)
-        cols = chain_cols[m]
-        n_dst = len(dst_basis.complex._rows.get(m, ()))
-        images = Gf2Matrix(n_dst, cols).matmul(
-            Gf2Matrix(len(cols), src_basis.representatives[m])
-        )
         out_cols = []
-        for img in images.cols:
+        for rep in src_basis.representatives[m]:
             used = []
-            if _reduce(img, get, used):
+            if _reduce(_push(tables[m], rep), get, used):
                 raise InternalConsistencyError(
                     "image of a cycle is not a cycle modulo boundaries"
                 )
@@ -497,9 +498,7 @@ def induced_map_on_bases(
     lower of the two bases' dimensions."""
     if src.complex is not f.source or dst.complex is not f.target:
         raise ValueError("bases do not belong to the map's complexes")
-    up_to = min(src.up_to, dst.up_to)
-    cols = {m: _vertex_chain_columns(f, m) for m in range(up_to + 1)}
-    return induced_from_chain_columns(cols, src, dst, up_to)
+    return induced_from_chain_columns(f.images, src, dst, min(src.up_to, dst.up_to))
 
 
 # ---------------------------------------------------------------------------
@@ -587,42 +586,30 @@ def barycentric_subdivision(
 
 def subdivision_chain_columns(
     complex_: SimplicialComplex, sd: SimplicialComplex, up_to: int
-) -> dict[int, list[int]]:
+) -> dict[int, np.ndarray]:
     """Chain map sending each simplex to the sum of its subdivided pieces.
 
     The pieces of an m-simplex are its full flags: chains of faces with one
-    face in every dimension 0..m.  This chain map induces the subdivision
-    isomorphism on homology.
+    face in every dimension 0..m.  ``tables[m]``, for each dimension m <=
+    up_to that holds simplices, is an (r, (m+1)!) array: row i lists the
+    rows in ``sd`` of the pieces of the i-th m-simplex, one per flag
+    pattern.  This chain map induces the subdivision isomorphism on
+    homology.
     """
     offsets, _ = _vertex_offsets(complex_)
-    cols_by_dim: dict[int, list[int]] = {}
-    for m in range(up_to + 1):
-        if m not in complex_._rows:
-            cols_by_dim[m] = []
-            continue
+    tables = {}
+    for m in sorted(complex_._rows):
+        if m > up_to:
+            break
         faces = _face_vertices(complex_, offsets, m)
-        at = np.stack(
+        tables[m] = np.stack(
             [
                 sd._locate(m, np.stack([faces[pos] for pos in flag], axis=1))
                 for flag in _flag_patterns(m)[m]
             ],
             axis=1,
         )
-        cols_by_dim[m] = [_mask(row) for row in at.tolist()]
-    return cols_by_dim
-
-
-def composed_chain_columns(
-    f: SimplicialMap, inner: dict[int, list[int]]
-) -> dict[int, list[int]]:
-    """Chain map columns of f_# after ``inner``, whose columns are chains
-    on f's source, in every dimension of ``inner``."""
-    out = {}
-    for m, cols in inner.items():
-        outer = _vertex_chain_columns(f, m)
-        n_dst = len(f.target._rows.get(m, ()))
-        out[m] = Gf2Matrix(n_dst, outer).matmul(Gf2Matrix(len(outer), cols)).cols
-    return out
+    return tables
 
 
 def carrier_map_to_nerve(
@@ -634,10 +621,11 @@ def carrier_map_to_nerve(
     """Send each subdivision vertex to the first cell containing its carrier.
 
     ``carriers`` are the carrier rows `barycentric_subdivision` returns.
-    The distinct image simplices, read from the image rows the map keeps,
-    are re-verified against the cells by the exact intersection test, one
-    batch per dimension in increasing order; failure would falsify the
-    carrier argument, so it aborts rather than degrade.
+    The distinct image simplices are re-verified against the cells by the
+    exact intersection test, one batch per dimension in increasing order;
+    failure would falsify the carrier argument, so it aborts rather than
+    degrade.  The subdivision is face-closed, so the images of dimension k
+    are those its k-simplices keep, read from the map's ``images[k]``.
     """
     if not carriers:  # an empty complex: nothing to send or verify
         return SimplicialMap(sd, nerve.complex, ())
@@ -652,9 +640,10 @@ def carrier_map_to_nerve(
         f = SimplicialMap(sd, nerve.complex, np.concatenate(assignment))
     except ValueError as exc:
         raise CarrierVerificationError(str(exc)) from exc
-    dims, found = (np.concatenate(part) for part in zip(*f.images.values()))
-    for k in np.unique(dims).tolist():
-        img = nerve.complex._rows[k][np.unique(found[dims == k])]
+    for k, found in f.images.items():
+        if found.max() < 0:  # every image drops a dimension: none of dimension k
+            continue
+        img = nerve.complex._rows[k][np.unique(found[found >= 0])]
         met = hulls_intersect(system, img)
         if not met.all():
             cells = tuple(img[int(np.argmin(met))].tolist())

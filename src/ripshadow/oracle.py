@@ -24,7 +24,7 @@ from .models import (
     _trefoil_d1,
     _trefoil_point,
 )
-from .rips import SimplicialComplex
+from .rips import SimplicialComplex, SimplicialMap
 from .shadow import ConvexCellSystem
 
 
@@ -189,6 +189,21 @@ def brute_boundary_echelon(
         owner[p] = j
         added[j] = [owner[q] for q in used]
     return pivots, added
+
+
+def brute_chain_image(f: SimplicialMap, m: int, chain: int) -> int:
+    """Image of an m-chain, a bit mask over the source's m-simplices, under
+    the chain map of f, from vertex tuples: the XOR over its set bits of
+    the bit of each simplex's image among the target's m-simplices.  An
+    image with fewer than m+1 vertices adds nothing."""
+    index = {t: i for i, t in enumerate(f.target.simplices.get(m, []))}
+    out = 0
+    for i, s in enumerate(f.source.simplices.get(m, [])):
+        if chain >> i & 1:
+            t = tuple(sorted({int(f.vertex_map[v]) for v in s}))
+            if len(t) == m + 1:
+                out ^= 1 << index[t]
+    return out
 
 
 def brute_barycentric_subdivision(

@@ -30,9 +30,11 @@ the k-prefix * n + k-th vertex`` of the distinct (k+1)-prefixes, which come
 out increasing in row order.  Every complex holds the singletons of its n
 vertices, so n and every rank are at most 2**31 and every code is below
 2**62, which fits ``int64`` for every dimension.  Membership, face lookups
-and the images of a simplicial map, found once and kept by the map, look up
-whole arrays of rows at once: a table gather for the first vertex, then one
-``np.searchsorted`` per further vertex.  Cuts of one complex by row masks
+and the images of a simplicial map look up whole arrays of rows at once: a
+table gather for the first vertex, then one ``np.searchsorted`` per further
+vertex.  A map looks up each dimension's images once and keeps them as its
+chain map, one target row per source simplex and -1 where the image drops
+a dimension.  Cuts of one complex by row masks
 (``SimplicialComplex.subcomplex``) look nothing up: a cut gathers its face
 arrays through the renumbered masks and keeps its parent and masks, and
 the identity map between two cuts of one complex, or between a cut and
@@ -625,21 +627,26 @@ class CliqueList:
 class SimplicialMap:
     """Vertex assignment between complexes, verified simplicial on construction.
 
-    ``vertex_map`` is a read-only int64 array.  ``images[d]`` holds, per source
-    d-simplex in row order, its image's dimension (``int8``) and target row.
+    The source must be face-closed.  ``vertex_map`` is a read-only int64
+    array.  ``images[d]`` is the chain map in dimension d: per source
+    d-simplex in row order, the target row of its image, or -1 where a
+    repeated vertex drops the image a dimension.  Only the images that keep
+    d+1 vertices are looked up and checked: a dropped image of s is the
+    image of a face of s, checked one dimension lower, so the first error
+    names the same simplex as a check of every image would.
 
     The identity vertex map between two cuts of one complex (or a cut and
-    the complex itself, see ``SimplicialComplex.subcomplex``) reads them off
-    the masks: a source row's row in the complex is a position of its mask,
-    the check is that the target's mask holds it, and its target row is
-    that position of ``cumsum(target mask) - 1``.  Any other map looks its
-    images up in the target.
+    the complex itself, see ``SimplicialComplex.subcomplex``) reads its
+    images off the masks: a source row's row in the complex is a position
+    of its mask, the check is that the target's mask holds it, and its
+    target row is that position of ``cumsum(target mask) - 1``.  Any other
+    map looks its images up in the target.
     """
 
     source: SimplicialComplex
     target: SimplicialComplex
     vertex_map: np.ndarray
-    images: dict[int, tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False)
+    images: dict[int, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.vertex_map = vmap = np.array(self.vertex_map, dtype=np.int64)
@@ -649,6 +656,7 @@ class SimplicialMap:
         bad = np.flatnonzero((vmap < 0) | (vmap >= self.target.n))
         if bad.size:
             raise ValueError(f"image vertex {int(vmap[bad[0]])} out of range")
+        self.source.validate_face_closed()
         self._increasing = bool((vmap[1:] > vmap[:-1]).all())
         # a strictly increasing map onto 0..target.n-1 is the identity
         identity = self._increasing and len(vmap) == self.target.n
@@ -658,54 +666,38 @@ class SimplicialMap:
         self.images = {}
         for d, rows in sorted(self.source._rows.items()):
             if by_masks:
-                dims = np.full(len(rows), d, np.int8)
-                found = np.arange(len(rows)) if src_keep is None else np.flatnonzero(src_keep[d])
+                at = np.arange(len(rows))
+                found = at if src_keep is None else np.flatnonzero(src_keep[d])
                 if dst_keep is not None:
                     held = dst_keep[d]
                     found = np.where(held[found], (np.cumsum(held) - 1)[found], -1)
             else:
-                dims = np.empty(len(rows), np.int8)
-                found = np.empty(len(rows), np.int64)
-                for k, (at, img) in self.image_rows(rows).items():
-                    dims[at] = k - 1
-                    found[at] = self.target._locate(k - 1, img)
+                at, img = self.image_rows(rows)
+                found = self.target._locate(d, img)
             missing = np.flatnonzero(found < 0)
             if missing.size:
-                s = tuple(rows[int(missing[0])].tolist())
+                s = tuple(rows[int(at[missing[0]])].tolist())
                 raise ValueError(
                     f"map is not simplicial: image {self.map_simplex(s)} of {s} missing in target"
                 )
-            self.images[d] = (dims, found)
+            table = np.full(len(rows), -1, np.int64)
+            table[at] = found
+            self.images[d] = table
 
-    def image_rows(self, rows: np.ndarray) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        """Images of an (m, d+1) array of source simplices, grouped by size.
-
-        Maps k to the indices of the rows whose image has k vertices and
-        those images as a sorted (r, k) array; a repeated vertex drops the
-        image a dimension.  A strictly increasing vertex map keeps every
-        row's order and size, so its images need no sort.
-        """
+    def image_rows(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Images of an (m, d+1) array of source simplices that keep d+1
+        vertices: the indices of those rows, and their images as a sorted
+        (r, d+1) array.  A strictly increasing vertex map keeps every row's
+        order and size, so its images need no sort."""
         img = self.vertex_map[rows]
         if self._increasing:
-            return {img.shape[1]: (np.arange(len(img)), img)} if len(img) else {}
-        return _images_by_size(np.sort(img, axis=1))
+            return np.arange(len(img)), img
+        img.sort(axis=1)
+        at = np.flatnonzero((img[:, 1:] != img[:, :-1]).all(axis=1))
+        return at, img[at]
 
     def map_simplex(self, s: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(sorted(set(self.vertex_map[list(s)].tolist())))
-
-
-def _images_by_size(img: np.ndarray) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """``SimplicialMap.image_rows`` of an (m, d+1) array of images whose rows
-    are sorted but may repeat a vertex."""
-    new = np.ones(img.shape, bool)
-    new[:, 1:] = img[:, 1:] != img[:, :-1]
-    size = new.sum(axis=1)
-    out = {}
-    for k in range(1, img.shape[1] + 1):
-        at = np.flatnonzero(size == k)
-        if at.size:
-            out[k] = (at, img[at][new[at]].reshape(-1, k))
-    return out
 
 
 def _flag_rows(adj: np.ndarray, cap: int, keep=None) -> dict[int, np.ndarray]:

@@ -16,7 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ripshadow
-from ripshadow.cli import _write_json, main
+import ripshadow.cli
+from ripshadow.cli import _write_json, _write_text, main
 from ripshadow.models import PointCloud
 from ripshadow.rips import CliqueList, SimplicialComplex
 from ripshadow.shadow import NerveComplex
@@ -242,6 +243,60 @@ def test_model_json_file_is_accepted(tmp_path):
     assert main(["sample", "--model", str(model), "--n", "6", "--out", str(pts)]) == 0
     radii = np.linalg.norm(PointCloud.from_csv(str(pts)).points, axis=1)
     assert np.allclose(radii, 2.0)
+
+
+def test_two_runs_build_one_parser(monkeypatch):
+    built = []
+
+    class Counted(ripshadow.cli._Parser):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(ripshadow.cli, "_Parser", Counted)
+    ripshadow.cli.build_parser.cache_clear()
+    try:
+        assert main([]) == 64
+        first = len(built)
+        assert first > 0
+        assert main(["rips", "--no-such-flag"]) == 64
+        assert len(built) == first
+    finally:
+        ripshadow.cli.build_parser.cache_clear()
+
+
+def test_commands_run_without_huge_page_advice(monkeypatch):
+    set_advice = np._core.multiarray._set_madvise_hugepage
+    seen = []
+
+    def config(path):
+        seen.append(set_advice(False))  # the advice in force, left off
+        return {}
+
+    monkeypatch.setattr(ripshadow.cli, "_load_config", config)
+    before = set_advice(True)
+    try:
+        assert main(["rips", "--no-such-flag"]) == 64  # fails before the config
+        assert set_advice(True) is True  # restored after the parse fails
+        assert main(["sample", "--model", "circle"]) == 64
+        assert seen == [False]
+        assert set_advice(True) is True  # and after the command
+    finally:
+        set_advice(before)
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_artifacts_get_the_mode_a_plain_open_gives(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        _write_text(str(tmp_path / "written.txt"), "x\n")
+        with open(tmp_path / "opened.txt", "w") as fh:
+            fh.write("x\n")
+    finally:
+        os.umask(old)
+    mode = (tmp_path / "written.txt").stat().st_mode & 0o777
+    assert mode == 0o666 & ~umask
+    assert mode == (tmp_path / "opened.txt").stat().st_mode & 0o777
 
 
 def test_no_temp_files_survive_a_run(tmp_path):

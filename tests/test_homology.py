@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from itertools import combinations, permutations
 from unittest import mock
@@ -31,10 +32,13 @@ from ripshadow.homology import (
     _CofaceColumns,
     _echelon_basis,
     _forest_pairs,
+    _mask,
 )
 from ripshadow.models import Circle, PointCloud, SamplerSpec, euclidean_metric, sample
 from ripshadow.oracle import (
+    _dense_rank_mod2,
     brute_barycentric_subdivision,
+    brute_chain_image,
     brute_boundary_echelon,
     brute_coboundary_pairs,
     brute_forest_pairs,
@@ -332,9 +336,9 @@ def test_inclusions_between_cuts_read_their_images_off_the_masks(complexes):
         # complexes[i] is no cut, so this map looks its images up
         want = SimplicialMap(complexes[i], complexes[j], np.arange(top.n)).images
         assert got.keys() == want.keys()
-        for d, (dims, rows) in want.items():
-            assert got[d][0].dtype == dims.dtype
-            assert np.array_equal(got[d][0], dims) and np.array_equal(got[d][1], rows)
+        for d, rows in want.items():
+            assert got[d].dtype == rows.dtype
+            assert np.array_equal(got[d], rows)
         # a coarser cut into a finer one fails as the lookup does
         with lookup:
             failed = _map_error(cuts[j], cuts[i])
@@ -498,9 +502,13 @@ def _check_subdivision_against_references(complex_: SimplicialComplex) -> None:
     assert sd == ref_sd
     assert sd.simplices == ref_sd.simplices
     assert _carrier_list(carriers) == ref_carriers
-    assert subdivision_chain_columns(complex_, sd, complex_.cap) == _reference_chain_columns(
-        complex_, sd, _carrier_list(carriers), complex_.cap
-    )
+    tables = subdivision_chain_columns(complex_, sd, complex_.cap)
+    want = _reference_chain_columns(complex_, sd, _carrier_list(carriers), complex_.cap)
+    # one table per dimension that holds simplices, one row of pieces per simplex
+    assert tables.keys() == {m for m, cols in want.items() if cols}
+    for m, table in tables.items():
+        assert table.shape == (len(want[m]), math.factorial(m + 1))
+        assert [_mask(row) for row in table.tolist()] == want[m]
 
 
 @settings(max_examples=60, deadline=None)
@@ -526,16 +534,77 @@ def test_subdivision_of_a_single_vertex_is_itself():
 
 def test_induced_from_chain_columns_rejects_a_non_chain_map():
     basis = homology_basis(_cycle(5), 1)
-    identity = {0: [1 << i for i in range(5)], 1: [1 << j for j in range(5)]}
+    identity = {0: np.arange(5), 1: np.arange(5)}
     assert [m.rank() for m in induced_from_chain_columns(identity, basis, basis, 1)] == [1, 1]
     # the loop goes to the single edge 0, which is not a cycle
-    to_one_edge = {0: identity[0], 1: [1, 0, 0, 0, 0]}
+    to_one_edge = {0: identity[0], 1: np.array([0, -1, -1, -1, -1])}
     with pytest.raises(InternalConsistencyError, match="not a cycle"):
         induced_from_chain_columns(to_one_edge, basis, basis, 1)
     reps = basis.representatives
     doubled = replace(basis, representatives={0: reps[0], 1: reps[1] * 2})
     with pytest.raises(InternalConsistencyError, match="dependent"):
         induced_from_chain_columns(identity, basis, doubled, 1)
+
+
+@st.composite
+def _maps_into_closures(draw) -> SimplicialMap:
+    """A vertex map, collapsing or not, from a closed complex of cap 1-3
+    into the closure of its images and a few more simplices."""
+    src = draw(_closed_complexes().filter(lambda c: c.cap >= 1))
+    n = draw(st.integers(1, 6))
+    vertex_map = draw(st.lists(st.integers(0, n - 1), min_size=src.n, max_size=src.n))
+    extra = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=3), max_size=4))
+    tops = [{vertex_map[v] for v in s} for group in src.simplices.values() for s in group]
+    groups: dict[int, set] = {0: {(v,) for v in range(n)}}
+    for top in tops + extra:
+        t = tuple(sorted(top))
+        for size in range(2, len(t) + 1):
+            groups.setdefault(size - 1, set()).update(combinations(t, size))
+    dst = SimplicialComplex(n, max(src.cap, max(groups)), {d: sorted(g) for d, g in groups.items()})
+    return SimplicialMap(src, dst, vertex_map)
+
+
+def _brute_coordinates(basis, m: int, chain: int) -> int:
+    """The set of the basis's m-th representatives, as a bit mask, whose
+    sum differs from the chain by a boundary: every set is tried against a
+    dense rank of the boundary matrix, and exactly one must fit."""
+    cx = basis.complex
+    index = {s: i for i, s in enumerate(cx.simplices.get(m, []))}
+    uppers = cx.simplices.get(m + 1, [])
+    mat = np.zeros((len(index), len(uppers) + 1), np.uint8)
+    for j, s in enumerate(uppers):
+        mat[[index[t] for t in combinations(s, m + 1)], j] = 1
+    bounded = _dense_rank_mod2(mat[:, :-1])
+    reps = basis.representatives[m]
+    fits = []
+    for pick in range(1 << len(reps)):
+        v = chain
+        for i, rep in enumerate(reps):
+            if pick >> i & 1:
+                v ^= rep
+        mat[:, -1] = [v >> i & 1 for i in range(len(index))]
+        if _dense_rank_mod2(mat) == bounded:
+            fits.append(pick)
+    assert len(fits) == 1
+    return fits[0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_maps_into_closures())
+# the hexagon wraps twice round the triangle, and the square folds onto an
+# edge: every edge image is hit twice and cancels
+@example(SimplicialMap(_cycle(6), _cycle(3), (0, 1, 2, 0, 1, 2)))
+@example(
+    SimplicialMap(_cycle(4), SimplicialComplex(2, 2, {0: [(0,), (1,)], 1: [(0, 1)]}), (0, 1, 0, 1))
+)
+def test_induced_maps_push_representatives_as_the_oracle_does(f):
+    up_to = min(f.source.cap, f.target.cap) - 1
+    src, dst = homology_basis(f.source, up_to), homology_basis(f.target, up_to)
+    mats = induced_map_on_bases(f, src, dst)
+    for m in range(up_to + 1):
+        images = [brute_chain_image(f, m, rep) for rep in src.representatives[m]]
+        assert mats[m].rows == dst.rank(m)
+        assert mats[m].cols == [_brute_coordinates(dst, m, img) for img in images]
 
 
 def test_carrier_map_reaches_the_nerve():

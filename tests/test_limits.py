@@ -15,7 +15,6 @@ from ripshadow.cli import _write_json
 from ripshadow.homology import (
     barycentric_subdivision,
     carrier_map_to_nerve,
-    composed_chain_columns,
     homology_basis,
     induced_from_chain_columns,
     induced_map_on_bases,
@@ -416,7 +415,7 @@ def _projection_ranks(model, cloud, beta):
     carrier_map = carrier_map_to_nerve(sd, carriers, system, nerve)
     sub_cols = subdivision_chain_columns(complex_, sd, 1)
 
-    composed = composed_chain_columns(carrier_map, sub_cols)
+    composed = {m: carrier_map.images[m][flags] for m, flags in sub_cols.items()}
     once = induced_from_chain_columns(composed, base_src, base_nerve, 1)
 
     base_sd = homology_basis(sd, 1)

@@ -24,7 +24,6 @@ from ripshadow.rips import (
     IntRows,
     SimplicialComplex,
     SimplicialMap,
-    _images_by_size,
     build_rips,
     inclusion_map,
     maximal_cliques,
@@ -153,15 +152,15 @@ def test_monotone_images_equal_the_sorting_route():
     }
     assert [f._increasing for f in maps.values()] == [True, True, False]
     for f in maps.values():
-        for s in source.simplices.values():
-            rows = np.array(s, dtype=np.int64)
-            got = f.image_rows(rows)
-            want = _images_by_size(np.sort(f.vertex_map[rows], axis=1))
-            assert got.keys() == want.keys()
-            for k, (at, img) in got.items():
-                assert np.array_equal(at, want[k][0]) and np.array_equal(img, want[k][1])
-                assert [f.map_simplex(s[i]) for i in at.tolist()] == list(map(tuple, img.tolist()))
-    assert maps["identity"].image_rows(np.empty((0, 2), np.int64)) == {}
+        for d, s in source.simplices.items():
+            at, img = f.image_rows(np.array(s, dtype=np.int64))
+            # the rows whose image keeps d+1 vertices, and those images
+            kept = [i for i, t in enumerate(s) if len(f.map_simplex(t)) == d + 1]
+            assert at.tolist() == kept
+            assert img.shape == (len(kept), d + 1)
+            assert list(map(tuple, img.tolist())) == [f.map_simplex(s[i]) for i in kept]
+    at, img = maps["identity"].image_rows(np.empty((0, 2), np.int64))
+    assert at.size == 0 and img.shape == (0, 2)
 
 
 def _as_arrays(groups: dict) -> dict:
@@ -339,17 +338,27 @@ def test_map_verification_matches_the_definition(src_tops, dst_tops, vertex_map)
     first_bad = _simplicial_by_definition(source, target, vertex_map)
     if first_bad is None:
         f = SimplicialMap(source, target, vertex_map)
-        # the kept images are each simplex's image dimension and target row
+        # the kept images are each simplex's target row, or -1 where the
+        # image drops a dimension
         assert f.images.keys() == source.simplices.keys()
         for d, simplices in source.simplices.items():
             images = [f.map_simplex(s) for s in simplices]
-            rows = [target.simplices[len(t) - 1].index(t) for t in images]
-            assert f.images[d][0].tolist() == [len(t) - 1 for t in images]
-            assert f.images[d][1].tolist() == rows
+            rows = [target.simplices[d].index(t) if len(t) == d + 1 else -1 for t in images]
+            assert f.images[d].dtype == np.int64
+            assert f.images[d].tolist() == rows
     else:
         image = tuple(sorted({vertex_map[v] for v in first_bad}))
         with pytest.raises(ValueError, match=re.escape(f"image {image} of {first_bad} missing")):
             SimplicialMap(source, target, vertex_map)
+
+
+def test_a_source_that_is_not_face_closed_is_refused():
+    # every edge has its vertices, but the triangle lacks its edge (1, 2)
+    open_ = SimplicialComplex(3, 2, {0: [(0,), (1,), (2,)], 1: [(0, 1), (0, 2)], 2: [(0, 1, 2)]})
+    with pytest.raises(ValueError, match=re.escape("face (1, 2) of (0, 1, 2) missing")):
+        SimplicialMap(open_, open_, range(3))
+    with pytest.raises(ValueError, match=re.escape("face (1, 2) of (0, 1, 2) missing")):
+        SimplicialMap(open_, _closure(1, 2, [(0,)]), (0, 0, 0))
 
 
 def test_complex_is_face_closed_and_json_stable(tmp_path):
