@@ -52,7 +52,7 @@ from .models import (
 )
 from .oracle import OracleBudgetError, brute_homology, brute_rips, raster_betti_2d
 from .reconstruct import build_curve_K
-from .rips import IntRows, SimplicialComplex, build_rips, maximal_cliques, rows_text
+from .rips import SimplicialComplex, build_rips, maximal_cliques
 from .shadow import ConvexCellSystem, build_nerve
 
 EXIT_OK = 0
@@ -96,40 +96,7 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _write_json(path: str, obj) -> None:
-    _write_text(path, _json_text(obj) + "\n")
-
-
-def _json_text(obj, level: int = 0) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)``, indented to ``level``.
-
-    Dicts with string keys are walked key by key, and a list of integer
-    lists (simplices, cells, tables) is rendered from int64 arrays by
-    ``rips.rows_text``; every other value, and a row list with an integer
-    outside int64, goes to ``json.dumps``.  Only exact ``int`` values take
-    the arrays, so bools and floats keep json's spelling, and JSON text
-    holds no raw newline but the indentation ones, so the bytes are json's.
-    """
-    pad = "\n" + "  " * level
-    inner = pad + "  "
-    if type(obj) is dict and obj and all(type(k) is str for k in obj):
-        items = [json.dumps(k) + ": " + _json_text(v, level + 1) for k, v in sorted(obj.items())]
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    rows = obj if isinstance(obj, IntRows) else _int_rows(obj)
-    if rows is not None:
-        return rows_text(rows, level).decode("ascii")
-    return json.dumps(obj, sort_keys=True, indent=2).replace("\n", pad)
-
-
-def _int_rows(obj) -> IntRows | None:
-    """A nonempty list of lists of int64 ``int`` values as ``IntRows``, or None."""
-    if type(obj) is not list or set(map(type, obj)) != {list}:
-        return None
-    if not {type(v) for row in obj for v in row} <= {int}:
-        return None
-    try:
-        return IntRows.from_lists(obj)
-    except ValueError:  # a value outside int64
-        return None
+    _write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def _points_csv(points: np.ndarray) -> str:
@@ -229,7 +196,7 @@ def _resolve_model(args, config: dict, required: bool = True):
     if name in ("theta", "theta-graph"):
         return theta_graph(int(_cfg(args, config, "segments_per_arc", 16)))
     if os.path.exists(name):
-        return load_model(name)
+        return _load_input(load_model, name)
     raise UsageError(f"unknown model {name!r} (not a builtin name or a readable file)")
 
 
@@ -291,7 +258,7 @@ def _run_rips(args, config: dict) -> int:
     cap = int(_cfg(args, config, "cap", 2))
     complex_ = build_rips(_metric_from_flags(args, config, cloud), beta, cap=cap)
     out = _require(args, config, "out")
-    _write_json(out, complex_.to_json_dict())
+    _write_text(out, complex_.to_text())
     print(f"complex with simplex counts {complex_.counts()} at scale {beta:g} -> {out}")
     return EXIT_OK
 
@@ -303,7 +270,7 @@ def _run_shadow(args, config: dict) -> int:
     cells = maximal_cliques(euclidean_metric(cloud), beta)
     nerve = build_nerve(ConvexCellSystem(cloud, cells), cap=cap)
     out = _require(args, config, "out")
-    _write_json(out, nerve.to_json_dict())
+    _write_text(out, nerve.to_text())
     print(
         f"nerve over {len(cells)} hulls with simplex counts "
         f"{nerve.complex.counts()} -> {out}"

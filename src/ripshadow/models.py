@@ -997,8 +997,13 @@ def theta_graph(segments_per_arc: int = 16) -> EmbeddedGraph:
 
 
 def model_from_json(obj: dict) -> Model:
+    """Model of a spec ``{"kind": ..., "params": {...}}`` as ``to_spec_json``
+    writes it.  Raises ``ValueError`` for a spec that is not an object, an
+    unknown kind or a missing parameter."""
+    params = obj.get("params", {}) if isinstance(obj, dict) else None
+    if not isinstance(params, dict):
+        raise ValueError("a model spec must be a JSON object with an object of params")
     kind = obj.get("kind")
-    params = obj.get("params", {})
     if kind == "circle":
         return Circle(
             radius=params.get("radius", 1.0),
@@ -1008,6 +1013,9 @@ def model_from_json(obj: dict) -> Model:
     if kind == "trefoil":
         return Trefoil(scale=params.get("scale", 1.0))
     if kind == "embedded_graph":
+        for key in ("vertices", "edges"):
+            if key not in params:
+                raise ValueError(f"embedded_graph model is missing {key!r}")
         return EmbeddedGraph(params["vertices"], params["edges"])
     if kind == "theta":
         return theta_graph(params.get("segments_per_arc", 16))

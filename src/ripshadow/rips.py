@@ -41,19 +41,19 @@ the identity map between two cuts of one complex, or between a cut and
 the complex, reads each image's row off the target's mask and checks
 inclusion as mask containment.
 
-A complex file is ``json.dumps(to_json_dict(), sort_keys=True, indent=2)``
-and a newline: keys ``cap``, ``n`` and ``simplices``, the last a flat list
-of vertex lists, dimension by dimension.  ``rows_text`` renders such lists
-from the row arrays, and ``SimplicialComplex.load`` parses a file in this
-layout on arrays, keeping the parse only when it renders back to the same
-bytes; any other JSON with these keys goes through ``json``.
+A complex file, ``SimplicialComplex.to_text``, is ``json.dumps(sort_keys=True,
+indent=2)`` of ``{"cap", "n", "simplices"}`` and a newline, the last a flat
+list of vertex lists, dimension by dimension, rendered from the row arrays
+in blocks.  ``SimplicialComplex.load`` parses a file in this layout on
+arrays, keeping the parse only when it renders back to the same bytes; any
+other JSON with these keys, a nerve file with its ``cells`` included, goes
+through ``json``.
 """
 from __future__ import annotations
 
 import json
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -67,12 +67,14 @@ _MAX_SIMPLICES = 2**31
 # candidate rows per block of parents in the flag expansion, and rows per
 # block of a rendered complex file
 _FLAG_BLOCK = 1 << 15
-# a complex file as the writer lays it out: json.dumps(to_json_dict(),
-# sort_keys=True, indent=2) and a newline; n and cap of at most 18 digits
+# a complex file as ``SimplicialComplex.to_text`` lays it out, n and cap
+# of at most 18 digits, and the indents of a simplex and of its vertices
 _FILE_HEAD = re.compile(
     rb'\{\n  "cap": (0|[1-9][0-9]{0,17}),\n  "n": (0|[1-9][0-9]{0,17}),\n  "simplices": '
 )
 _FILE_TAIL = b"\n}\n"
+_ROW_INDENT = b"\n    "
+_VALUE_INDENT = b"\n      "
 # ``bytes.translate`` table: every byte but a digit becomes a space
 _DIGITS_ONLY = bytes(c if 48 <= c <= 57 else 32 for c in range(256))
 
@@ -191,182 +193,84 @@ def _check_header(n: int, cap: int, dims) -> None:
             raise ValueError(f"simplex of dimension {d} above cap {cap}")
 
 
-def _first_use(widths: np.ndarray) -> list[int]:
-    """Distinct values of an int array in order of first appearance."""
-    kinds, first = np.unique(widths, return_index=True)
-    return kinds[np.argsort(first)].tolist()
+def _rows_by_dim(lists) -> dict[int, np.ndarray]:
+    """Integer lists grouped by length, each group an (m, d+1) ``int64``
+    array in list order, keyed by dimension d in order of first use.
+    Raises naming the first such dimension that holds a value outside int64."""
+    groups: dict[int, list] = {}
+    for s in lists:
+        groups.setdefault(len(s), []).append(s)
+    rows = {}
+    for w, picked in groups.items():
+        try:
+            group = np.fromiter(chain.from_iterable(picked), np.int64, w * len(picked))
+        except OverflowError as exc:
+            raise ValueError(f"vertex out of range in dimension {w - 1}: {exc}") from exc
+        rows[w - 1] = group.reshape(len(picked), w)
+    return rows
 
 
-class IntRows(list):
-    """A read-only list of integer rows of mixed widths, held as arrays.
+def _group_text(rows: np.ndarray) -> np.ndarray:
+    """The bytes of the rows of a nonempty (m, w) array of nonnegative int64,
+    w >= 1, as items of a complex file's simplex list, each preceded by ``,``.
 
-    ``widths[i]`` is the length of row i, and ``groups`` maps each width,
-    in order of first use, to its rows as an (m, width) ``int64`` array in
-    list order.  Read as a list (length, iteration, indexing, equality) it
-    is the list of its rows, formed as Python lists on the first such
-    read, so ``json.dumps`` renders it as that list; ``rows_text`` renders
-    the same bytes from the arrays without forming a row.
-    """
-
-    def __init__(self, widths: np.ndarray, groups: dict[int, np.ndarray]):
-        super().__init__()
-        self.widths = widths
-        self.groups = groups
-
-    @classmethod
-    def from_lists(cls, lists) -> "IntRows":
-        """Rows of a list of integer lists.  Raises naming the first width,
-        in order of first use, that holds a value outside int64."""
-        widths = np.fromiter(map(len, lists), np.int64, len(lists))
-        groups = {}
-        for w in _first_use(widths):
-            picked = [lists[i] for i in np.flatnonzero(widths == w).tolist()]
-            try:
-                group = np.fromiter(chain.from_iterable(picked), np.int64, w * len(picked))
-            except OverflowError as exc:
-                raise ValueError(f"vertex out of range in dimension {w - 1}: {exc}") from exc
-            groups[w] = group.reshape(len(picked), w)
-        return cls(widths, groups)
-
-    @classmethod
-    def from_flat(cls, values: np.ndarray, widths: np.ndarray) -> "IntRows":
-        """Rows that concatenate to ``values``, one per entry of ``widths``;
-        the rows of a width that follow each other are a view of ``values``."""
-        ends = np.cumsum(widths)
-        starts = ends - widths
-        groups = {}
-        for w in _first_use(widths):
-            at = np.flatnonzero(widths == w)
-            if at[-1] - at[0] == len(at) - 1:
-                groups[w] = values[starts[at[0]] : ends[at[-1]]].reshape(-1, w)
-            else:
-                groups[w] = values[starts[at, None] + np.arange(w)]
-        return cls(widths, groups)
-
-    @cached_property
-    def _lists(self) -> list[list[int]]:
-        out = [None] * len(self.widths)
-        for w, rows in self.groups.items():
-            for i, row in zip(np.flatnonzero(self.widths == w).tolist(), rows.tolist()):
-                out[i] = row
-        return out
-
-    def __len__(self) -> int:
-        return len(self.widths)
-
-    def __iter__(self):
-        return iter(self._lists)
-
-    def __getitem__(self, i):
-        return self._lists[i]
-
-    def __eq__(self, other) -> bool:
-        return self._lists == (other._lists if isinstance(other, IntRows) else other)
-
-    def __ne__(self, other) -> bool:
-        return not self == other
-
-    def __repr__(self) -> str:
-        return repr(self._lists)
-
-
-def _group_text(rows: np.ndarray, inner: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """The JSON text of each row of an (m, w) int64 array, one list item
-    deeper than ``inner`` and preceded by ``,`` and ``inner``, as the bytes
-    of all rows in order, and the (m, c) mask they were compressed with.
-
-    Each row is laid out in c columns: the separator; per value the piece
-    ``[`` or ``,``, the cell's newline and indent, a sign column when the
-    group holds a negative value, and as many digit columns as its longest
-    magnitude; then the row's closing piece.  The mask drops the unused
-    sign and leading-digit columns.
+    Each row is laid out in columns: the separator and the item's newline
+    and indent; per value the piece ``[`` or ``,``, the value's newline and
+    indent, and as many digit columns as the group's longest value; then
+    the row's closing piece.  The leading zero columns are dropped.
     """
     m, w = rows.shape
-    cell = inner + b"  "
-    neg = rows < 0
-    mag = rows.astype(np.uint64)
-    mag[neg] = -mag[neg]  # modulo 2**64, so -2**63 has magnitude 2**63
-    digits = len(str(int(mag.max()))) if mag.size else 1
-    if digits <= 9:
-        mag = mag.astype(np.uint32)  # twice as fast to divide
-    sign = int(neg.any())
-    slot = len(b"," + cell) + sign + digits
-    lead, close = b"," + inner, inner + b"]" if w else b"[]"
+    digits = len(str(int(rows.max())))
+    mag = rows.astype(np.uint32 if digits <= 9 else np.uint64)  # uint32 divides twice as fast
+    slot = len(b"," + _VALUE_INDENT) + digits
+    lead, close = b"," + _ROW_INDENT, _ROW_INDENT + b"]"
     out = np.empty((m, len(lead) + w * slot + len(close)), np.uint8)
     keep = np.ones(out.shape, bool)
     # (m, w, slot) views of the value columns
     span = slice(len(lead), len(lead) + w * slot)
     values, shown = out[:, span].reshape(m, w, slot), keep[:, span].reshape(m, w, slot)
     out[:, : len(lead)] = np.frombuffer(lead, np.uint8)
-    values[:] = np.frombuffer(b"," + cell + b"-" * (sign + digits), np.uint8)
+    values[:] = np.frombuffer(b"," + _VALUE_INDENT + b"0" * digits, np.uint8)
     values[:, :1, 0] = ord("[")
     out[:, span.stop :] = np.frombuffer(close, np.uint8)
-    if sign:
-        shown[:, :, slot - digits - 1] = neg
     for i in range(digits):
         if i:
             shown[:, :, slot - 1 - i] = mag > 0
         values[:, :, slot - 1 - i] = mag % 10 + ord("0")
         mag //= 10
-    return out[keep], keep
+    return out[keep]
 
 
-def _text_blocks(rows: IntRows, level: int):
-    """The bytes of ``rows_text(rows, level)`` as consecutive uint8 arrays.
-
-    Rows of one width that follow each other are rendered in blocks of
-    ``_FLAG_BLOCK``, which bounds the temporaries; rows whose widths
-    interleave are rendered per width and moved to their places.
-    """
-    pad = b"\n" + b"  " * level
-    inner = pad + b"  "
-    if not len(rows):
+def _text_blocks(rows: dict[int, np.ndarray]):
+    """The bytes of a complex file's simplex list, the rows of ``rows[d]``
+    dimension by dimension, as consecutive uint8 arrays; each dimension is
+    rendered in blocks of ``_FLAG_BLOCK`` rows, which bounds the temporaries."""
+    blocks = (
+        _group_text(rows[d][i : i + _FLAG_BLOCK])
+        for d in sorted(rows)
+        for i in range(0, len(rows[d]), _FLAG_BLOCK)
+    )
+    first = next(blocks, None)
+    if first is None:
         yield np.frombuffer(b"[]", np.uint8)
         return
-    widths = rows.widths
-    if np.count_nonzero(widths[1:] != widths[:-1]) == len(rows.groups) - 1:
-        # one run per width: the groups follow each other
-        blocks = (
-            _group_text(group[i : i + _FLAG_BLOCK], inner)[0]
-            for group in rows.groups.values()
-            for i in range(0, len(group), _FLAG_BLOCK)
-        )
-    else:
-        texts = {w: _group_text(group, inner) for w, group in rows.groups.items()}
-        at = {w: np.flatnonzero(widths == w) for w in texts}
-        size = np.empty(len(widths), np.int64)
-        for w, (_, keep) in texts.items():
-            size[at[w]] = keep.sum(axis=1)
-        ends = np.cumsum(size)
-        body = np.empty(int(ends[-1]), np.uint8)
-        for w, (chars, keep) in texts.items():
-            n = size[at[w]]
-            shift = ends[at[w]] - n - (np.cumsum(n) - n)
-            body[np.repeat(shift, n) + np.arange(len(chars))] = chars
-        blocks = iter([body])
-    first = next(blocks)
     first[0] = ord("[")  # the first row's separator opens the list
     yield first
     yield from blocks
-    yield np.frombuffer(pad + b"]", np.uint8)
+    yield np.frombuffer(b"\n  ]", np.uint8)
 
 
-def rows_text(rows: IntRows, level: int) -> bytes:
-    """``json.dumps(rows, indent=2)`` as ASCII bytes, its lines after the
-    first indented by ``level`` more steps."""
-    return b"".join(_text_blocks(rows, level))
-
-
-def _read_file(data: bytes) -> tuple[int, int, IntRows] | None:
-    """``(n, cap, rows)`` of a complex file in the writer's layout, or
-    None for any other text, including any value of more than 18 digits.
+def _read_file(data: bytes) -> tuple[int, int, dict[int, np.ndarray]] | None:
+    """``(n, cap, rows)`` of a complex file in the writer's layout, ``rows``
+    by dimension as for ``SimplicialComplex``, or None for any other text,
+    including any value of more than 18 digits.
 
     Every non-digit is read as a space and the digits parsed as one int64
     array, whose first two values are ``cap`` and ``n``; row i holds the
     digit runs that end between the (i-1)-th and the i-th ``]``.  The parse
     stands only when the rows render back to the same bytes, which also
-    rules out signs, leading zeros and every other spelling the rendering
-    does not produce.
+    rules out signs, leading zeros, rows out of dimension order and every
+    other spelling the rendering does not produce.
     """
     head = _FILE_HEAD.match(data)
     if head is None or not data.endswith(_FILE_TAIL):
@@ -384,11 +288,17 @@ def _read_file(data: bytes) -> tuple[int, int, IntRows] | None:
     raw = np.frombuffer(data, np.uint8)
     closes = np.flatnonzero(raw == ord("]"))
     widths = np.diff(np.searchsorted(ends, closes[:-1], "right"), prepend=0)
-    if len(values) != len(starts) or not widths.all():
+    if len(values) != len(starts) or not widths.all() or (widths[1:] < widths[:-1]).any():
         return None
-    rows = IntRows.from_flat(values, widths)
+    # the widths never decrease, so each one's rows follow each other
+    sizes, counts = np.unique(widths, return_counts=True)
+    stops = np.cumsum(sizes * counts).tolist()
+    rows = {
+        w - 1: values[stop - w * m : stop].reshape(m, w)
+        for w, m, stop in zip(sizes.tolist(), counts.tolist(), stops)
+    }
     at = head.end()
-    for block in _text_blocks(rows, 1):
+    for block in _text_blocks(rows):
         if not np.array_equal(raw[at : at + len(block)], block):
             return None
         at += len(block)
@@ -544,17 +454,28 @@ class SimplicialComplex:
             if d > 0:
                 self.face_positions(d)
 
-    def to_json_dict(self) -> dict:
-        """``n``, ``cap`` and the simplices, dimension by dimension, as one
-        ``IntRows`` over the row arrays."""
-        dims = sorted(self._rows)
-        widths = np.repeat(np.array(dims, np.int64) + 1, [len(self._rows[d]) for d in dims])
-        rows = IntRows(widths, {d + 1: self._rows[d] for d in dims})
-        return {"n": self.n, "cap": self.cap, "simplices": rows}
+    def to_text(self) -> str:
+        """The complex file: ``json.dumps(sort_keys=True, indent=2)`` of
+        ``{"cap", "n", "simplices"}`` and a newline, ``simplices`` the flat
+        list of vertex lists, dimension by dimension, rendered from the row
+        arrays."""
+        return self._file_text({})
+
+    def _file_text(self, extra: dict) -> str:
+        """``to_text`` with the keys of ``extra``, each of which sorts
+        before ``simplices``, rendered by ``json.dumps`` next to ``cap`` and
+        ``n``."""
+        head = json.dumps({"cap": self.cap, "n": self.n, **extra}, sort_keys=True, indent=2)
+        # simplices is the last key: it takes the place of the head's "\n}"
+        pieces = [(head[:-2] + ',\n  "simplices": ').encode("ascii")]
+        pieces.extend(_text_blocks(self._rows))
+        pieces.append(_FILE_TAIL)
+        return b"".join(pieces).decode("ascii")
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SimplicialComplex":
-        """Complex from a flat simplex list, grouped by size, sorted and deduplicated.
+        """Complex of the parsed JSON of a complex file, its flat simplex list
+        sorted and deduplicated; any further keys are ignored.
 
         ``n``, ``cap`` and every vertex must be JSON integers, and the list
         must hold the singleton of every vertex 0..n-1.
@@ -571,27 +492,25 @@ class SimplicialComplex:
             raise ValueError(f"non-integer vertex {json.dumps(v)} in simplex {json.dumps(s)}")
         if not all(flat):
             raise ValueError("malformed simplex () in dimension -1")
-        return cls._from_groups(n, cap, IntRows.from_lists(flat).groups)
+        return cls._from_rows(n, cap, _rows_by_dim(flat))
 
     @classmethod
-    def _from_groups(cls, n: int, cap: int, groups: dict[int, np.ndarray]) -> "SimplicialComplex":
-        """Complex from int64 simplex rows grouped by size, sorted and
+    def _from_rows(cls, n: int, cap: int, rows: dict[int, np.ndarray]) -> "SimplicialComplex":
+        """Complex from int64 simplex rows by dimension, sorted and
         deduplicated, checked face-closed."""
-        rows = {}
-        for size, group in groups.items():
+        for d, group in rows.items():
             if not _ahead(group).all():
                 group = group[np.lexsort(group.T[::-1])]
                 repeat = np.zeros(len(group), bool)
                 repeat[1:] = (group[1:] == group[:-1]).all(axis=1)
-                group = group[~repeat]
-            rows[size - 1] = group
+                rows[d] = group[~repeat]
         cx = cls(n, cap, rows)
         cx.validate_face_closed()
         return cx
 
     @classmethod
     def load(cls, path: str) -> "SimplicialComplex":
-        """Complex of a JSON file with the keys of ``to_json_dict``.  A file
+        """Complex of a JSON file with the keys of a complex file.  A file
         in the writer's layout is parsed on arrays; any other goes through
         ``json`` and ``from_json_dict``."""
         with open(path, "rb") as fh:
@@ -599,8 +518,7 @@ class SimplicialComplex:
         if read is None:
             with open(path) as fh:
                 return cls.from_json_dict(json.load(fh))
-        n, cap, rows = read
-        return cls._from_groups(n, cap, rows.groups)
+        return cls._from_rows(*read)
 
 
 @dataclass(frozen=True)

@@ -109,10 +109,10 @@ class NerveComplex:
     complex: SimplicialComplex
     cells: CliqueList
 
-    def to_json_dict(self) -> dict:
-        out = self.complex.to_json_dict()
-        out["cells"] = [list(c) for c in self.cells.cliques]
-        return out
+    def to_text(self) -> str:
+        """The nerve file: the complex file of the nerve with ``cells``,
+        one vertex list per cell, as ``json.dumps`` renders it."""
+        return self.complex._file_text({"cells": [list(c) for c in self.cells.cliques]})
 
 
 def _box_overlap_pairs(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

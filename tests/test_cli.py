@@ -7,20 +7,21 @@ import os
 import re
 import subprocess
 import sys
-import tempfile
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ripshadow
 import ripshadow.cli
-from ripshadow.cli import _write_json, _write_text, main
-from ripshadow.models import PointCloud
-from ripshadow.rips import CliqueList, SimplicialComplex
-from ripshadow.shadow import NerveComplex
+from ripshadow.cli import _write_text, main
+from ripshadow.homology import betti
+from ripshadow.models import PointCloud, euclidean_metric
+from ripshadow.rips import CliqueList, SimplicialComplex, maximal_cliques
+from ripshadow.shadow import ConvexCellSystem, NerveComplex, build_nerve
 
 
 def test_inverse_tower_example_succeeds(tmp_path):
@@ -245,6 +246,30 @@ def test_model_json_file_is_accepted(tmp_path):
     assert np.allclose(radii, 2.0)
 
 
+_EDGELESS_GRAPH = {"kind": "embedded_graph", "params": {"vertices": [[0.0, 0.0], [1.0, 0.0]]}}
+
+
+@pytest.mark.parametrize(
+    "text, flag, code",
+    [
+        ('{"kind": "circle", "params": {', "--model", 1),
+        ("[1, 2]", "--model", 1),
+        (json.dumps(_EDGELESS_GRAPH), "--model", 1),
+        (json.dumps({"model": _EDGELESS_GRAPH}), "--config", 64),
+    ],
+    ids=["truncated-json", "json-list", "graph-without-edges", "config-graph-without-edges"],
+)
+def test_malformed_model_files_exit_cleanly(tmp_path, capsys, text, flag, code):
+    spec = tmp_path / "spec.json"
+    spec.write_text(text)
+    pts = tmp_path / "pts.csv"
+    assert main(["sample", flag, str(spec), "--n", "6", "--out", str(pts)]) == code
+    err = capsys.readouterr().err
+    assert ("malformed input file" in err) == (code == 1)
+    assert "Traceback" not in err
+    assert not pts.exists()
+
+
 def test_two_runs_build_one_parser(monkeypatch):
     built = []
 
@@ -357,15 +382,7 @@ def test_module_runs_as_a_script(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the JSON writer renders exactly what json.dumps renders
-
-
-def _written(obj) -> str:
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "out.json")
-        _write_json(path, obj)
-        with open(path, newline="") as fh:
-            return fh.read()
+# complex and nerve files are what json.dumps renders, and read back
 
 
 def _dumped(obj) -> str:
@@ -394,45 +411,31 @@ def _complexes(draw):
 @settings(max_examples=100, deadline=None)
 @given(_complexes(), st.lists(st.sets(st.integers(0, 9), max_size=3).map(sorted).map(tuple)))
 def test_writer_matches_json_dumps_on_complexes_and_nerves(cx, cells):
-    obj = cx.to_json_dict()
-    text = _written(obj)
+    text = cx.to_text()
+    obj = json.loads(text)
+    flat = [list(s) for d in sorted(cx.simplices) for s in cx.simplices[d]]
+    assert obj == {"cap": cx.cap, "n": cx.n, "simplices": flat}
     assert text == _dumped(obj)
-    back = SimplicialComplex.from_json_dict(json.loads(text))
-    assert back == cx
-    nerve = NerveComplex(cx, CliqueList(10, tuple(sorted(cells)))).to_json_dict()
-    assert "cells" in nerve
-    assert _written(nerve) == _dumped(nerve)
+    assert SimplicialComplex.from_json_dict(obj) == cx
+    cliques = tuple(sorted(cells))
+    nerve = NerveComplex(cx, CliqueList(10, cliques)).to_text()
+    assert json.loads(nerve) == {**obj, "cells": [list(c) for c in cliques]}
+    assert nerve == _dumped(json.loads(nerve))
 
 
-_SCALARS = (
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.sampled_from([2**70, -(2**70), 0, -1])
-    | st.floats()
-    | st.text(max_size=4)
-)
-# rows of integers, with a bool or a float slipped in now and then
-_ROWS = st.lists(
-    st.lists(
-        st.integers() | st.sampled_from([2**70, -3]) | st.booleans() | st.floats(0, 1),
-        max_size=3,
-    )
-)
-_MIXED_ROWS = st.lists(st.lists(_SCALARS, max_size=3))
-
-
-@settings(max_examples=200, deadline=None)
-@example([[0, 1], [True]])
-@example({"cells": [[1.0]], "simplices": [[2**70, -1], []]})
-@given(
-    st.recursive(
-        _SCALARS | _ROWS | _MIXED_ROWS,
-        lambda inner: st.lists(inner, max_size=3)
-        | st.dictionaries(st.text(max_size=3), inner, max_size=3)
-        | st.dictionaries(st.integers(), inner, max_size=2),
-        max_leaves=12,
-    )
-)
-def test_writer_matches_json_dumps_on_nested_values(obj):
-    assert _written(obj) == _dumped(obj)
+def test_nerve_file_reads_back_as_its_complex(tmp_path, capsys):
+    pts = tmp_path / "pts.csv"
+    nerve_file = tmp_path / "nerve.json"
+    assert main(["sample", "--model", "circle", "--n", "40", "--seed", "3", "--out", str(pts)]) == 0
+    assert main(["shadow", "--points", str(pts), "--beta", "0.4", "--out", str(nerve_file)]) == 0
+    capsys.readouterr()
+    # the cells sit between cap and n, so the file goes through json
+    with mock.patch("json.loads", wraps=json.loads) as spy:
+        assert main(["homology", "--complex", str(nerve_file)]) == 0
+    assert spy.called
+    cloud = PointCloud.from_csv(str(pts))
+    cells = maximal_cliques(euclidean_metric(cloud), 0.4)
+    nerve = build_nerve(ConvexCellSystem(cloud, cells), cap=2)
+    want = [int(b) for b in betti(nerve.complex, 1)]
+    assert want == [1, 1]
+    assert json.loads(capsys.readouterr().out) == {"betti": want, "up_to": 1}

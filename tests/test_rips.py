@@ -14,20 +14,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ripshadow.cli import _write_json
+from ripshadow.cli import _write_text
 from ripshadow.limits import _rips_stages
 from ripshadow.models import PointCloud, euclidean_metric
 from ripshadow.oracle import brute_maximal_cliques, brute_rips
 from ripshadow.rips import (
     CliqueBudgetError,
     CliqueList,
-    IntRows,
     SimplicialComplex,
     SimplicialMap,
     build_rips,
     inclusion_map,
     maximal_cliques,
-    rows_text,
 )
 
 
@@ -249,7 +247,7 @@ def test_missing_vertex_singletons_are_named(simplices, message):
 
 def test_json_load_sorts_and_deduplicates():
     cx = _closure(5, 2, [(0, 1, 2), (1, 3), (2, 3, 4)])
-    flat = cx.to_json_dict()["simplices"]
+    flat = json.loads(cx.to_text())["simplices"]
     shuffled = [flat[i] for i in np.random.default_rng(1).permutation(len(flat))]
     back = SimplicialComplex.from_json_dict(
         {"n": 5, "cap": 2, "simplices": shuffled + shuffled[:7]}
@@ -366,20 +364,10 @@ def test_complex_is_face_closed_and_json_stable(tmp_path):
     complex_ = build_rips(met, 1.5, cap=2)
     complex_.validate_face_closed()
     path = tmp_path / "cx.json"
-    _write_json(str(path), complex_.to_json_dict())
+    _write_text(str(path), complex_.to_text())
     back = SimplicialComplex.load(str(path))
     assert back.simplices == complex_.simplices
     assert back.n == complex_.n and back.cap == complex_.cap
-
-
-def test_int_rows_read_as_the_list_of_their_rows():
-    # interleaved widths, an empty row and both ends of int64
-    lists = [[3, 4], [5], [0, 1], [], [-(2**63), 2**63 - 1]]
-    rows = IntRows.from_lists(lists)
-    assert len(rows) == 5 and list(rows) == lists and rows[2] == [0, 1] and rows[-1] == lists[-1]
-    assert rows == lists and rows == IntRows.from_lists(lists) and rows != lists[:-1]
-    assert repr(rows) == repr(lists) and json.dumps(rows) == json.dumps(lists)
-    assert rows_text(rows, 1).decode() == json.dumps(lists, indent=2).replace("\n", "\n  ")
 
 
 @st.composite
@@ -412,7 +400,7 @@ def _json_route(path):
 def test_written_complex_files_load_on_arrays(cx):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cx.json")
-        _write_json(path, cx.to_json_dict())
+        _write_text(path, cx.to_text())
         want = _json_route(path)
         with mock.patch("json.loads", side_effect=AssertionError("the json route was taken")):
             got = SimplicialComplex.load(path)
@@ -423,10 +411,13 @@ def _redump(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _shuffled(obj: dict) -> str:
+def _shuffled(obj: dict, by_dimension: bool = False) -> str:
+    """The file with its rows shuffled and seven repeated, and then, when
+    ``by_dimension``, put back in dimension order (a stable sort)."""
     flat = obj["simplices"]
     order = np.random.default_rng(3).permutation(len(flat))
-    return _redump({**obj, "simplices": [flat[i] for i in order] + flat[2:9]})
+    rows = [flat[i] for i in order] + flat[2:9]
+    return _redump({**obj, "simplices": sorted(rows, key=len) if by_dimension else rows})
 
 
 # (mutation of the canonical text and of its object, does the array route
@@ -443,7 +434,11 @@ _MUTATIONS = {
         lambda text, obj: text.replace("\n      3\n", "\n      1000000000000000003\n", 1),
         False,
     ),
-    "unsorted-and-duplicate-rows": (lambda text, obj: _shuffled(obj), True),
+    "unsorted-and-duplicate-rows": (lambda text, obj: _shuffled(obj), False),
+    "shuffled-within-dimensions": (
+        lambda text, obj: _shuffled(obj, by_dimension=True),
+        True,
+    ),
     "missing-singleton": (
         lambda text, obj: _redump({**obj, "simplices": [s for s in obj["simplices"] if s != [3]]}),
         True,
@@ -459,7 +454,7 @@ _MUTATIONS = {
 def test_mutated_complex_files_load_as_the_json_route_reads_them(tmp_path, name):
     mutate, on_arrays = _MUTATIONS[name]
     path = str(tmp_path / "cx.json")
-    _write_json(path, _closure_on_arrays(12, 2, [(0, 1, 2), (2, 3), (9, 10, 11)]).to_json_dict())
+    _write_text(path, _closure_on_arrays(12, 2, [(0, 1, 2), (2, 3), (9, 10, 11)]).to_text())
     with open(path) as fh:
         text = fh.read()
     with open(path, "w", newline="") as fh:
